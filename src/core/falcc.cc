@@ -375,35 +375,7 @@ Result<size_t> ParseComboSectionName(const std::string& name,
 }  // namespace
 
 Status FalccModel::Save(std::ostream* out) const {
-  return Save(out, save_format_);
-}
-
-Status FalccModel::Save(std::ostream* out, SnapshotFormat format) const {
-  return format == SnapshotFormat::kV1 ? SaveV1(out) : SaveV2(out, nullptr);
-}
-
-Status FalccModel::SaveV1(std::ostream* out) const {
-  io::PrepareStream(out);
-  *out << kModelHeader << '\n';
-  *out << pool_entropy_ << '\n';
-  FALCC_RETURN_IF_ERROR(pool_->Serialize(out));
-  FALCC_RETURN_IF_ERROR(group_index_.Serialize(out));
-  FALCC_RETURN_IF_ERROR(clustering_transform_.Serialize(out));
-  *out << centroids_.size() << '\n';
-  for (const auto& c : centroids_) io::WriteVector(out, c);
-  *out << selected_.size() << '\n';
-  for (const auto& combo : selected_) io::WriteVector(out, combo);
-  // The monitor section is written only when monitoring anchors exist, so
-  // a legacy artifact (no baselines) round-trips byte-identically through
-  // Load → Save instead of growing a section it never had.
-  if (!baseline_loss_.empty()) {
-    *out << kMonitorSection << '\n';
-    *out << assess_lambda_ << ' ' << static_cast<int>(assess_metric_) << ' '
-         << static_cast<int>(assess_mode_) << '\n';
-    io::WriteVector(out, baseline_loss_);
-  }
-  if (!*out) return Status::IOError("FalccModel serialization failed");
-  return Status::OK();
+  return SaveV2(out, nullptr);
 }
 
 void FalccModel::WriteComboSection(std::ostream* out, size_t cluster) const {
@@ -517,9 +489,6 @@ Result<FalccModel> FalccModel::Load(std::istream* in) {
 Result<FalccModel> FalccModel::LoadImpl(std::istream* in, bool compile) {
   FALCC_RETURN_IF_ERROR(io::Expect(in, kModelHeader));
   FalccModel model;
-  // Sticky format: a legacy artifact keeps saving as v1 so the golden
-  // byte-identity contract holds for existing snapshots.
-  model.save_format_ = SnapshotFormat::kV1;
   FALCC_RETURN_IF_ERROR(io::Read(in, &model.pool_entropy_));
 
   Result<ModelPool> pool = ModelPool::Deserialize(in);
@@ -663,7 +632,6 @@ Result<FalccModel> FalccModel::LoadV2(io::SnapshotReader reader,
   };
 
   FalccModel model;
-  model.save_format_ = SnapshotFormat::kV2;
   {
     Result<std::string_view> payload = section(kSectionMeta);
     if (!payload.ok()) return payload.status();
@@ -1091,7 +1059,6 @@ Result<FalccModel> FalccModel::CloneWithRefreshes(
   model.assess_lambda_ = assess_lambda_;
   model.assess_metric_ = assess_metric_;
   model.assess_mode_ = assess_mode_;
-  model.save_format_ = save_format_;
   for (const ClusterRefresh& refresh : refreshes) {
     if (refresh.cluster >= model.centroids_.size()) {
       return Status::InvalidArgument("CloneWithRefreshes: cluster " +

@@ -149,18 +149,6 @@ struct ClusterRefresh {
   double baseline_loss = 0.0;
 };
 
-/// On-disk snapshot format. kV1 is the legacy whitespace-token stream
-/// (header `falcc-model-v1`); kV2 is the sectioned container of
-/// io/snapshot.h with per-section checksums, a content hash, an optional
-/// compiled-kernel `flat` section, and delta support. Loading records
-/// the source format and Save reproduces it by default, so a legacy
-/// artifact round-trips byte-identically while everything newly trained
-/// writes v2.
-enum class SnapshotFormat {
-  kV1,
-  kV2,
-};
-
 /// A trained FALCC classifier (offline phase output + online phase).
 class FalccModel {
  public:
@@ -185,15 +173,17 @@ class FalccModel {
                                           double pool_entropy = 0.0);
 
   /// Serializes the full trained model (pool, transform, centroids,
-  /// group index, per-cluster combinations) in the model's sticky format
-  /// (see SnapshotFormat). Requires every pool model's type to support
+  /// group index, per-cluster combinations) in the v2 sectioned
+  /// container of io/snapshot.h: per-section checksums, a content hash,
+  /// an optional compiled-kernel `flat` section, and delta support. The
+  /// legacy v1 whitespace-token stream (header `falcc-model-v1`) is
+  /// load-only: a v1 artifact re-saves as v2 with identical decisions.
+  /// Requires every pool model's type to support
   /// serialization (true for everything the built-in diverse trainer
   /// produces). Training-time diagnostics (validation_assignment) are
   /// not persisted — a loaded model classifies identically but reports
   /// an empty assignment.
   Status Save(std::ostream* out) const;
-  /// Same, with an explicit format (v2 → v1 downgrade or forced upgrade).
-  Status Save(std::ostream* out, SnapshotFormat format) const;
   /// Deserializes (either format, sniffed from the first bytes),
   /// validates, and compiles the per-cluster inference kernels (see
   /// "Compiled inference" below), so a loaded model serves from the
@@ -252,8 +242,6 @@ class FalccModel {
   const std::optional<io::SnapshotManifest>& manifest() const {
     return manifest_;
   }
-  /// The format Save reproduces by default.
-  SnapshotFormat save_format() const { return save_format_; }
 
   /// Clone with the listed clusters' combinations (and baseline L̂)
   /// replaced — the monitor's refresh primitive. The clone shares this
@@ -410,7 +398,6 @@ class FalccModel {
   static Result<FalccModel> LoadV2(io::SnapshotReader reader,
                                    std::shared_ptr<const void> backing);
 
-  Status SaveV1(std::ostream* out) const;
   Status SaveV2(std::ostream* out, io::SnapshotManifest* manifest_out) const;
   /// Serializes one cluster's combo section (combination + optional
   /// baseline) — the unit a delta ships.
@@ -464,9 +451,6 @@ class FalccModel {
   double assess_lambda_ = 0.5;
   FairnessMetric assess_metric_ = FairnessMetric::kDemographicParity;
   AssessmentMode assess_mode_ = AssessmentMode::kGroupFairness;
-  /// Format Load recorded (trained models default to v2) — Save's
-  /// default, so legacy artifacts round-trip byte-identically.
-  SnapshotFormat save_format_ = SnapshotFormat::kV2;
   /// Manifest of this model's v2 serialization (cached by a v2 load,
   /// EnsureManifest, or an ApplyDeltaBytes/CloneWithRefreshes update).
   std::optional<io::SnapshotManifest> manifest_;

@@ -2,7 +2,7 @@
 //
 // Wiring (DESIGN.md §11):
 //
-//   FalccEngine ──OnDecision──▶ DecisionLog ◀──AddFeedback── truth source
+//   snapshot store ──OnDecision──▶ DecisionLog ◀──AddFeedback── truth source
 //                                   │ DrainLabeled (Poll)
 //                                   ▼
 //                              WindowStats ──L̂_window──▶ DriftDetector
@@ -11,8 +11,11 @@
 //                               Refresher ◀───────── alarmed clusters
 //                                   │ CloneWithRefreshes + Install
 //                                   ▼
-//                             FalccEngine (hot-swap)
+//                          snapshot store (hot-swap)
 //
+// The snapshot store is a FalccEngine; decisions reach it from direct
+// ClassifyBatch calls and from every shard of a ShardedEngine built on
+// it, each tagged with the version of the snapshot that made it.
 // The serving hot path only ever touches the lock-free DecisionLog;
 // everything downstream runs on whichever thread calls Poll() —
 // typically a background loop or the replay driver between chunks.
@@ -103,12 +106,11 @@ class FairnessMonitor {
   static Result<std::unique_ptr<FairnessMonitor>> Attach(
       serve::FalccEngine* engine, MonitorOptions options = {});
 
-  /// Sharded variant: one monitor watches the whole fleet. Decisions fan
-  /// in from every shard via ShardedEngine::SetDecisionObserver (the
-  /// DecisionLog ring is multi-writer safe), and refreshes hot-swap
-  /// through the fleet's snapshot store, so every shard serves the
-  /// refreshed snapshot on its next flush. Same preconditions and
-  /// set-once observer discipline as the single-engine overload.
+  /// Sharded convenience: Attach(engine->snapshot_store()). One monitor
+  /// watches the whole fleet — every shard fans its decisions in through
+  /// the store (the DecisionLog ring is multi-writer safe), and
+  /// refreshes hot-swap the store, so every shard serves the refreshed
+  /// snapshot on its next flush.
   static Result<std::unique_ptr<FairnessMonitor>> Attach(
       serve::ShardedEngine* engine, MonitorOptions options = {});
 

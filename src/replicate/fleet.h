@@ -1,8 +1,8 @@
 // ReplicaFleet: N serving replicas following one feed.
 //
-// Each replica is an independent FalccEngine (flusher off — callers
-// classify through the direct batch path) with its own DeltaPuller over
-// its own DirectoryFeed cursor, exactly the shape of a multi-process
+// Each replica is an independent snapshot store (FalccEngine — callers
+// classify through its direct batch path) with its own DeltaPuller over
+// its own feed cursor, exactly the shape of a multi-process
 // deployment collapsed into one address space for tests and
 // bench_replicate. Convergence is defined by content hash: the fleet has
 // converged when every replica's serving snapshot hashes identically to
@@ -72,7 +72,6 @@ class ReplicaFleet {
 
  private:
   struct Replica {
-    Replica();
     serve::FalccEngine engine;
     std::unique_ptr<DeltaPuller> puller;
   };

@@ -93,10 +93,9 @@ struct DeltaPullerStats {
 
 class DeltaPuller {
  public:
-  /// The engine must outlive the puller; the feed is owned.
+  /// The snapshot store must outlive the puller (a ShardedEngine is
+  /// followed through its snapshot_store()); the feed is owned.
   DeltaPuller(serve::FalccEngine* engine, std::unique_ptr<DeltaFeed> feed,
-              DeltaPullerOptions options = {});
-  DeltaPuller(serve::ShardedEngine* engine, std::unique_ptr<DeltaFeed> feed,
               DeltaPullerOptions options = {});
   ~DeltaPuller();
 
@@ -142,7 +141,6 @@ class DeltaPuller {
 
   serve::SnapshotSource source_;
   serve::FalccEngine* engine_ = nullptr;
-  serve::ShardedEngine* sharded_engine_ = nullptr;
   std::unique_ptr<DeltaFeed> feed_;
   DeltaPullerOptions options_;
 

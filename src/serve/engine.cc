@@ -1,31 +1,15 @@
 #include "serve/engine.h"
 
-#include <chrono>
 #include <utility>
-#include <vector>
 
 #include "util/timer.h"
 
 namespace falcc::serve {
 
-namespace {
-
-/// Seconds between two steady_clock points.
-double Seconds(std::chrono::steady_clock::time_point from,
-               std::chrono::steady_clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
+FalccEngine::FalccEngine(FalccEngineOptions options) {
+  FALCC_CHECK(!options.start_flusher,
+              "FalccEngine: there is no flusher; submit through ShardedEngine");
 }
-
-}  // namespace
-
-FalccEngine::FalccEngine(FalccEngineOptions options)
-    : options_(options), queue_(options.queue) {
-  if (options_.start_flusher) {
-    flusher_ = std::thread([this] { FlusherLoop(); });
-  }
-}
-
-FalccEngine::~FalccEngine() { Shutdown(); }
 
 void FalccEngine::Install(FalccModel model) {
   // Compile the flat-node inference kernels before the snapshot is
@@ -50,7 +34,6 @@ void FalccEngine::Install(FalccModel model) {
   (void)model.EnsureManifest();
   auto snapshot = std::make_shared<const FalccModel>(std::move(model));
   snapshot_.store(std::move(snapshot));
-  version_.fetch_add(1, std::memory_order_acq_rel);
   metrics_.AddReloads(1);
 }
 
@@ -63,18 +46,18 @@ void FalccEngine::SetObserver(std::shared_ptr<DecisionObserver> observer) {
   observer_raw_.store(observer_.get(), std::memory_order_release);
 }
 
-void FalccEngine::NotifyObserver(const ClassifyResponse& response,
-                                 std::span<const double> features) const {
+void FalccEngine::NotifyDecisions(std::span<const SampleDecision> decisions,
+                                  std::span<const double> features,
+                                  uint64_t version) const {
   DecisionObserver* observer =
       observer_raw_.load(std::memory_order_acquire);
-  if (observer == nullptr || response.decisions.empty()) return;
-  const uint64_t version = version_.load(std::memory_order_acquire);
-  const size_t width = features.size() / response.decisions.size();
-  for (size_t i = 0; i < response.decisions.size(); ++i) {
-    observer->OnDecision(response.decisions[i],
-                         features.subspan(i * width, width), version);
+  if (observer == nullptr || decisions.empty()) return;
+  const size_t width = features.size() / decisions.size();
+  for (size_t i = 0; i < decisions.size(); ++i) {
+    observer->OnDecision(decisions[i], features.subspan(i * width, width),
+                         version);
   }
-  metrics_.AddObserved(response.decisions.size());
+  metrics_.AddObserved(decisions.size());
 }
 
 Status FalccEngine::ReloadFromFile(const std::string& path) {
@@ -100,7 +83,7 @@ Status FalccEngine::ReloadMapped(const std::string& path) {
 }
 
 Status FalccEngine::ApplyDeltaBytes(std::string_view bytes) {
-  const std::shared_ptr<const FalccModel> base = snapshot_.load();
+  const std::shared_ptr<const FalccModel> base = snapshot();
   if (base == nullptr) {
     metrics_.AddErrors(1);
     return Status::Unavailable(
@@ -131,14 +114,13 @@ Status FalccEngine::ApplyDeltaBytes(std::string_view bytes) {
 Result<ClassifyResponse> FalccEngine::ClassifyBatch(
     const ClassifyRequest& request) const {
   metrics_.AddRequests(1);
-  const std::shared_ptr<const FalccModel> snapshot =
-      snapshot_.load();
-  if (snapshot == nullptr) {
+  const VersionedSnapshot current = snapshot_.load();
+  if (current.model == nullptr) {
     metrics_.AddErrors(1);
     return Status::Unavailable("FalccEngine: no model snapshot installed");
   }
   Timer timer;
-  Result<ClassifyResponse> response = snapshot->ClassifyBatch(request);
+  Result<ClassifyResponse> response = current.model->ClassifyBatch(request);
   if (!response.ok()) {
     metrics_.AddErrors(1);
     return response;
@@ -150,92 +132,9 @@ Result<ClassifyResponse> FalccEngine::ClassifyBatch(
   metrics_.predict().Record(stages.predict);
   metrics_.total().Record(timer.ElapsedSeconds());
   metrics_.AddSamples(response.value().decisions.size());
-  NotifyObserver(response.value(), request.features);
+  NotifyDecisions(response.value().decisions, request.features,
+                  current.version);
   return response;
-}
-
-Result<Ticket> FalccEngine::Submit(std::span<const double> features) {
-  metrics_.AddRequests(1);
-  const std::shared_ptr<const FalccModel> snapshot =
-      snapshot_.load();
-  if (snapshot == nullptr) {
-    metrics_.AddErrors(1);
-    return Status::Unavailable("FalccEngine: no model snapshot installed");
-  }
-  // Validate on the submitting thread: rejects never reach the queue,
-  // and validation cost parallelizes across client threads.
-  const Status valid = snapshot->ValidateSample(features);
-  if (!valid.ok()) {
-    metrics_.AddErrors(1);
-    return valid;
-  }
-  Result<Ticket> ticket = queue_.Submit(features);
-  if (!ticket.ok()) metrics_.AddErrors(1);
-  return ticket;
-}
-
-Result<SampleDecision> FalccEngine::Classify(std::span<const double> features) {
-  Result<Ticket> ticket = Submit(features);
-  if (!ticket.ok()) return ticket.status();
-  return ticket.value().Wait();
-}
-
-void FalccEngine::FlusherLoop() {
-  while (std::shared_ptr<MicroBatch> batch = queue_.NextBatch()) {
-    const auto flush_start = std::chrono::steady_clock::now();
-    for (const auto& submitted : batch->submitted) {
-      metrics_.queue_wait().Record(Seconds(submitted, flush_start));
-    }
-    const std::shared_ptr<const FalccModel> snapshot =
-        snapshot_.load();
-    if (snapshot == nullptr) {
-      metrics_.AddErrors(1);
-      batch->Complete(
-          Status::Unavailable("FalccEngine: no model snapshot installed"), {});
-      continue;
-    }
-    // Samples were validated at submit time, but a hot-swap in between
-    // may have changed the schema — ClassifyBatch re-checks and the
-    // whole batch fails gracefully in that case.
-    ClassifyRequest request;
-    request.features = batch->features;
-    request.num_features = snapshot->num_features();
-    Result<ClassifyResponse> response = snapshot->ClassifyBatch(request);
-    if (!response.ok()) {
-      metrics_.AddErrors(1);
-      batch->Complete(response.status(), {});
-      continue;
-    }
-    const size_t batch_rows = response.value().decisions.size();
-    metrics_.AddFlushes(1);
-    metrics_.AddSamples(batch_rows);
-    const ClassifyStageSeconds& stages = response.value().stages;
-    metrics_.validate().Record(stages.validate);
-    metrics_.transform().Record(stages.transform);
-    metrics_.match().Record(stages.match);
-    metrics_.predict().Record(stages.predict);
-    // Feed the observed service time back into the queue's deadline
-    // model before waking anyone, so the very next flush decision sees
-    // this batch.
-    queue_.ReportServiceTime(
-        batch_rows, Seconds(flush_start, std::chrono::steady_clock::now()));
-    NotifyObserver(response.value(), batch->features);
-    batch->Complete(Status::OK(),
-                    std::move(response.value().decisions));
-    // True submit-to-completion latency: stamped after Complete has
-    // published the decisions, when a Ticket::Wait can actually observe
-    // them — not the batch-granular pre-completion time used before.
-    const auto completed = std::chrono::steady_clock::now();
-    for (const auto& submitted : batch->submitted) {
-      metrics_.total().Record(Seconds(submitted, completed));
-    }
-  }
-}
-
-void FalccEngine::Shutdown() {
-  if (shutdown_.exchange(true)) return;  // idempotent
-  queue_.Stop();
-  if (flusher_.joinable()) flusher_.join();
 }
 
 }  // namespace falcc::serve

@@ -1,23 +1,24 @@
-// Online serving engine: immutable model snapshots with atomic hot-swap
-// plus a micro-batching classification front end.
+// Snapshot store of the serving layer: immutable FalccModel snapshots
+// with atomic hot-swap, the direct batch classification path, and the
+// single decision-observer fan-in.
 //
 // Concurrency model:
 //  * The current model lives in a SnapshotPtr (an atomic<shared_ptr>
-//    equivalent, see below). Readers take a reference-counted snapshot
-//    in a handful of instructions — no blocking mutex on the
-//    classification path — and keep classifying on it even if a reload
-//    swaps the pointer mid-request; the old model is freed when its
-//    last in-flight request drops the reference.
+//    equivalent, see below) together with its install version. Readers
+//    take a reference-counted snapshot in a handful of instructions — no
+//    blocking mutex on the classification path — and keep classifying on
+//    it even if a reload swaps the pointer mid-request; the old model is
+//    freed when its last in-flight request drops the reference.
 //  * ReloadFromFile/Install build and validate the new model entirely
 //    off the serving path (on the calling thread), then publish it with
 //    a single atomic store.
-//  * Micro-batching: Submit/Classify enqueue single samples into a
-//    BatchQueue; a dedicated flusher thread drains micro-batches through
-//    FalccModel::ClassifyBatch, which amortizes transform, centroid
-//    match, and per-model tree traversal across the batch.
+//  * Per-sample submission lives in ShardedEngine (serve/sharded_engine.h),
+//    whose shard workers read snapshots from this store and fan their
+//    decisions in through NotifyDecisions, so one observer sees every
+//    decision tagged with the version of the snapshot that made it.
 //
 // Every entry point reports failures as Status (kUnavailable when no
-// snapshot is installed or the engine is shut down); nothing throws.
+// snapshot is installed); nothing throws.
 
 #ifndef FALCC_SERVE_ENGINE_H_
 #define FALCC_SERVE_ENGINE_H_
@@ -31,26 +32,26 @@
 #include <thread>
 
 #include "core/falcc.h"
-#include "serve/batch_queue.h"
 #include "serve/metrics.h"
 #include "util/status.h"
 
 namespace falcc::serve {
 
+/// Kept only for source compatibility: the engine has no flusher thread
+/// any more, so `false` is the only legal value (the constructor checks).
 struct FalccEngineOptions {
-  BatchQueueOptions queue;
-  /// Start the micro-batching flusher thread. Disable for engines used
-  /// only via the direct ClassifyBatch path.
-  bool start_flusher = true;
+  bool start_flusher = false;
 };
 
 /// Subscriber to the engine's decision stream (the monitoring hook).
 /// OnDecision is invoked once per successfully classified sample, on
 /// whatever thread produced the decision — direct ClassifyBatch callers
-/// and the flusher thread concurrently — so implementations must be
+/// and shard workers concurrently — so implementations must be
 /// thread-safe and cheap: the call sits on the serving hot path.
 /// `features` is the sample's original feature vector and is only valid
-/// for the duration of the call.
+/// for the duration of the call. `snapshot_version` is the version of
+/// the snapshot that made the decision, even when a hot-swap lands while
+/// its batch is being classified.
 class DecisionObserver {
  public:
   virtual ~DecisionObserver() = default;
@@ -59,19 +60,28 @@ class DecisionObserver {
                           uint64_t snapshot_version) = 0;
 };
 
-/// Atomically swappable shared_ptr<const FalccModel>: the pointer is
-/// guarded by a one-bit spinlock held only for a reference-count bump
-/// (load) or two pointer swaps (store) — the same technique libstdc++
-/// uses for std::atomic<std::shared_ptr>. We spell it out instead
-/// because libstdc++'s reader path (GCC 12) unlocks with relaxed
-/// ordering, which is mutually exclusive in practice but leaves no
-/// happens-before edge ThreadSanitizer can verify; acquire/release on
-/// both sides makes the hot-swap provably race-free.
+/// A snapshot together with the version it was installed as.
+struct VersionedSnapshot {
+  std::shared_ptr<const FalccModel> model;
+  uint64_t version = 0;
+};
+
+/// Atomically swappable shared_ptr<const FalccModel> plus its install
+/// version: the pair is guarded by a one-bit spinlock held only for a
+/// reference-count bump (load) or a pointer swap and counter bump
+/// (store) — the same technique libstdc++ uses for
+/// std::atomic<std::shared_ptr>. We spell it out instead because
+/// libstdc++'s reader path (GCC 12) unlocks with relaxed ordering, which
+/// is mutually exclusive in practice but leaves no happens-before edge
+/// ThreadSanitizer can verify; acquire/release on both sides makes the
+/// hot-swap provably race-free. The version is only written under the
+/// lock, so load() returns a consistent pair, and version() stays a
+/// lock-free atomic read.
 class SnapshotPtr {
  public:
-  std::shared_ptr<const FalccModel> load() const {
+  VersionedSnapshot load() const {
     Lock();
-    std::shared_ptr<const FalccModel> copy = ptr_;
+    VersionedSnapshot copy{ptr_, version_.load(std::memory_order_relaxed)};
     Unlock();
     return copy;
   }
@@ -79,10 +89,13 @@ class SnapshotPtr {
   void store(std::shared_ptr<const FalccModel> next) {
     Lock();
     ptr_.swap(next);
+    version_.fetch_add(1, std::memory_order_release);
     Unlock();
     // `next` now holds the superseded snapshot; it is released here,
     // outside the critical section (destruction can be expensive).
   }
+
+  uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
  private:
   void Lock() const {
@@ -95,14 +108,14 @@ class SnapshotPtr {
 
   mutable std::atomic<bool> locked_{false};
   std::shared_ptr<const FalccModel> ptr_;
+  std::atomic<uint64_t> version_{0};
 };
 
-/// A serving wrapper around FalccModel snapshots. Thread-safe: any
-/// number of threads may classify, submit, and reload concurrently.
+/// The snapshot store. Thread-safe: any number of threads may classify
+/// and reload concurrently.
 class FalccEngine {
  public:
   explicit FalccEngine(FalccEngineOptions options = {});
-  ~FalccEngine();
 
   FalccEngine(const FalccEngine&) = delete;
   FalccEngine& operator=(const FalccEngine&) = delete;
@@ -136,22 +149,32 @@ class FalccEngine {
 
   /// Current snapshot (nullptr before the first Install/Reload).
   std::shared_ptr<const FalccModel> snapshot() const {
-    return snapshot_.load();
+    return snapshot_.load().model;
   }
 
+  /// Current snapshot and its version, read together.
+  VersionedSnapshot versioned_snapshot() const { return snapshot_.load(); }
+
   /// Monotonic counter, incremented on every successful install.
-  uint64_t snapshot_version() const {
-    return version_.load(std::memory_order_acquire);
-  }
+  uint64_t snapshot_version() const { return snapshot_.version(); }
 
   // --- Decision subscription -------------------------------------------
 
-  /// Subscribes `observer` to every decision the engine produces from
-  /// now on. Set-once: call before serving traffic (typically right
-  /// after the first Install); the engine keeps shared ownership. The
-  /// serving paths read the observer with a single acquire load per
-  /// batch, so a subscription installed before traffic is race-free.
+  /// Subscribes `observer` to every decision classified against this
+  /// store from now on: direct ClassifyBatch calls and the flushes of
+  /// any ShardedEngine built on it. Set-once: call before serving
+  /// traffic (typically right after the first Install); the engine
+  /// keeps shared ownership. The serving paths read the observer with a
+  /// single acquire load per batch, so a subscription installed before
+  /// traffic is race-free.
   void SetObserver(std::shared_ptr<DecisionObserver> observer);
+
+  /// Fans one classified batch out to the observer, if any.
+  /// `features` is the batch's row-major input and `version` the version
+  /// of the snapshot that produced `decisions`.
+  void NotifyDecisions(std::span<const SampleDecision> decisions,
+                       std::span<const double> features,
+                       uint64_t version) const;
 
   // --- Classification ---------------------------------------------------
 
@@ -159,32 +182,11 @@ class FalccEngine {
   /// snapshot. kUnavailable when no snapshot is installed.
   Result<ClassifyResponse> ClassifyBatch(const ClassifyRequest& request) const;
 
-  /// Enqueues one sample for micro-batched classification. Validates
-  /// against the current snapshot before queuing; the Ticket resolves
-  /// when the sample's micro-batch is flushed.
-  Result<Ticket> Submit(std::span<const double> features);
-
-  /// Synchronous convenience: Submit + Wait.
-  Result<SampleDecision> Classify(std::span<const double> features);
-
-  /// Stops the queue, drains already-submitted batches, and joins the
-  /// flusher. Subsequent submissions fail with kUnavailable. Idempotent;
-  /// also run by the destructor.
-  void Shutdown();
-
   const Metrics& metrics() const { return metrics_; }
   MetricsSnapshot GetMetrics() const { return metrics_.Snapshot(); }
 
  private:
-  void FlusherLoop();
-
-  /// Fans one successful batch out to the observer, if any.
-  void NotifyObserver(const ClassifyResponse& response,
-                      std::span<const double> features) const;
-
-  FalccEngineOptions options_;
   SnapshotPtr snapshot_;
-  std::atomic<uint64_t> version_{0};
   /// Owner + raw publication pointer: hot paths load the raw pointer
   /// (acquire) once per batch instead of taking a shared_ptr reference.
   std::shared_ptr<DecisionObserver> observer_;
@@ -193,9 +195,6 @@ class FalccEngine {
   /// does not change the engine's logical state. Metrics is internally
   /// thread-safe (relaxed atomics only).
   mutable Metrics metrics_;
-  BatchQueue queue_;
-  std::thread flusher_;
-  std::atomic<bool> shutdown_{false};
 };
 
 }  // namespace falcc::serve

@@ -1,15 +1,14 @@
-// Sharded serving fleet: N independent shards in front of one snapshot
-// store, each owning a lock-free MPSC submit ring drained by a dedicated
-// worker into the caller-scratch ClassifyBatch path, with SLO-driven
-// adaptive batch sizing.
+// Sharded serving fleet — the one per-sample submit path: N >= 1
+// independent shards in front of one snapshot store (FalccEngine), each
+// owning a lock-free MPSC submit ring drained by a dedicated worker into
+// the caller-scratch ClassifyBatch path, with SLO-driven adaptive batch
+// sizing.
 //
-// Why shards: the single-queue micro-batcher (FalccEngine's BatchQueue)
-// funnels every client through one mutex and one flusher thread, and its
-// fixed max_delay flush trades ~65 ms closed-loop p50 for throughput.
-// FALCC inherits the decoupled per-(cluster, group) structure of
-// decoupled classifiers, so serving partitions perfectly: shards share
-// nothing but the immutable model snapshot, scale linearly with cores,
-// and routing can never change a decision — only where it is computed.
+// Why shards: FALCC inherits the decoupled per-(cluster, group)
+// structure of decoupled classifiers, so serving partitions perfectly:
+// shards share nothing but the immutable model snapshot, scale with
+// cores, and routing can never change a decision — only where it is
+// computed. A one-shard engine is the single-queue configuration.
 // Decisions are bit-identical to the single-sample loop at any shard
 // count (CheckShardedMatchesSingleLoop is part of the invariant suite
 // and the fuzz harness).
@@ -29,6 +28,11 @@
 // workers never fan out N × pool-size threads. Every worker owns one
 // ClassifyScratch, so steady-state flushes allocate nothing in the
 // kernel.
+//
+// Observer fan-in: every flush reports its decisions through the
+// snapshot store's NotifyDecisions, tagged with the version of the
+// snapshot the flush classified on, so one observer watches direct
+// store classifications and every shard alike.
 
 #ifndef FALCC_SERVE_SHARDED_ENGINE_H_
 #define FALCC_SERVE_SHARDED_ENGINE_H_
@@ -42,10 +46,10 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/falcc.h"
-#include "serve/batch_queue.h"
 #include "serve/engine.h"
 #include "serve/metrics.h"
 #include "serve/shard_router.h"
@@ -58,7 +62,7 @@ struct ShardedEngineOptions {
   size_t num_shards = 0;
   /// Per-shard submit-ring capacity (rounded up to a power of two).
   /// A full ring rejects Submit with kUnavailable — the backpressure
-  /// contract, mirroring BatchQueue's max_pending.
+  /// contract.
   size_t ring_capacity = 1 << 14;
   /// Hard upper bound on one flush, whatever the SLO math allows.
   size_t max_batch = 8192;
@@ -82,6 +86,36 @@ struct ShardedEngineOptions {
   bool start_workers = true;
 };
 
+/// Online linear model of batch service time: Predict(n) = overhead +
+/// n · per_row, both terms exponentially-weighted moving averages fed by
+/// Update after every classified batch. Seeds come from the compiled-
+/// kernel benchmark numbers so the very first flush decisions are sane;
+/// the estimate then tracks the deployed model and hardware. Not
+/// thread-safe — each shard worker owns one.
+class ServiceTimeModel {
+ public:
+  ServiceTimeModel(double seed_row_seconds, double seed_overhead_seconds,
+                   double alpha)
+      : per_row_(seed_row_seconds), overhead_(seed_overhead_seconds),
+        alpha_(alpha) {}
+
+  /// Predicted wall-clock seconds to classify a batch of `rows`.
+  double Predict(size_t rows) const {
+    return overhead_ + static_cast<double>(rows) * per_row_;
+  }
+
+  /// Folds one observed (rows, seconds) batch into the estimate.
+  void Update(size_t rows, double seconds);
+
+  double per_row_seconds() const { return per_row_; }
+  double overhead_seconds() const { return overhead_; }
+
+ private:
+  double per_row_;
+  double overhead_;
+  double alpha_;
+};
+
 /// Point-in-time view of one shard's adaptive state (diagnostics).
 struct ShardStatus {
   size_t shard = 0;
@@ -94,8 +128,8 @@ struct ShardStatus {
 /// N-shard serving front end over immutable FalccModel snapshots.
 /// Thread-safe: any number of threads may submit, classify, and reload
 /// concurrently. Snapshot management (install, validated reload,
-/// compile-before-publish, versioning) is delegated to an inner
-/// FalccEngine whose single-queue flusher is disabled.
+/// compile-before-publish, versioning) and the decision observer live in
+/// the inner snapshot store (FalccEngine).
 class ShardedEngine {
  public:
   explicit ShardedEngine(ShardedEngineOptions options = {});
@@ -143,11 +177,13 @@ class ShardedEngine {
 
   /// Fleet-wide decision fan-in: subscribes `observer` to every decision
   /// any shard flushes, plus direct classifications through the snapshot
-  /// store. Set-once, before serving traffic — the same discipline as
-  /// FalccEngine::SetObserver (which keeps ownership). One thread-safe
+  /// store. Forwards to FalccEngine::SetObserver (set-once, before
+  /// serving traffic; the store keeps ownership). One thread-safe
   /// observer (e.g. the monitor's DecisionLog, a multi-writer ring)
   /// watches the whole fleet.
-  void SetDecisionObserver(std::shared_ptr<DecisionObserver> observer);
+  void SetDecisionObserver(std::shared_ptr<DecisionObserver> observer) {
+    engine_.SetObserver(std::move(observer));
+  }
 
   // --- Classification ---------------------------------------------------
 
@@ -220,10 +256,7 @@ class ShardedEngine {
                   std::vector<std::shared_ptr<ShardTask>>* owned);
 
   ShardedEngineOptions options_;
-  FalccEngine engine_;  ///< snapshot store + validation; flusher disabled
-  /// Raw fan-in pointer for the shard flush path; owned by engine_ (set
-  /// through SetDecisionObserver, which forwards ownership there).
-  std::atomic<DecisionObserver*> observer_raw_{nullptr};
+  FalccEngine engine_;  ///< snapshot store, validation, observer fan-in
   ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> stopping_{false};

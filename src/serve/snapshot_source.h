@@ -1,7 +1,6 @@
-// SnapshotSource: the one reload entry point in front of a serving
-// engine. Before this existed, FalccEngine::ReloadFromFile, the
-// ShardedEngine install path, and the CLI's model loading each sniffed
-// and loaded artifacts their own way; SnapshotSource unifies them.
+// SnapshotSource: the one reload entry point in front of a snapshot
+// store (FalccEngine). A ShardedEngine is fed through its
+// snapshot_store(): every shard serves what the store holds.
 //
 // Dispatch is by artifact header:
 //  * `falcc-snapshot-v2` / `falcc-model-v1` → LoadFull (full snapshot
@@ -23,7 +22,6 @@
 #include <string_view>
 
 #include "serve/engine.h"
-#include "serve/sharded_engine.h"
 #include "util/status.h"
 
 namespace falcc::serve {
@@ -44,13 +42,11 @@ enum class SnapshotLoadKind {
   kDelta,  ///< incremental install: delta applied to the base snapshot
 };
 
-/// Feeds snapshot and delta artifacts into one serving engine. Holds a
-/// non-owning pointer to the engine, which must outlive the source.
+/// Feeds snapshot and delta artifacts into one snapshot store. Holds a
+/// non-owning pointer to the store, which must outlive the source.
 class SnapshotSource {
  public:
   explicit SnapshotSource(FalccEngine* engine,
-                          SnapshotSourceOptions options = {});
-  explicit SnapshotSource(ShardedEngine* engine,
                           SnapshotSourceOptions options = {});
 
   /// Loads `path` as a full snapshot (v1 or v2) and installs it.
@@ -69,8 +65,7 @@ class SnapshotSource {
   Result<SnapshotLoadKind> Load(const std::string& path);
 
  private:
-  FalccEngine* engine_ = nullptr;        ///< exactly one of these is set
-  ShardedEngine* sharded_ = nullptr;
+  FalccEngine* engine_ = nullptr;
   SnapshotSourceOptions options_;
 };
 

@@ -277,9 +277,7 @@ TEST(CompiledConcurrencyTest, ClassifyDuringHotSwapRecompile) {
   ASSERT_TRUE(model.Save(&buffer).ok());
   const std::string bytes = buffer.str();
 
-  serve::FalccEngineOptions options;
-  options.start_flusher = false;
-  serve::FalccEngine engine(options);
+  serve::FalccEngine engine;
   engine.Install(std::move(model));
 
   std::vector<double> batch;

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -70,22 +71,22 @@ const std::string& TinySnapshot() {
   return *bytes;
 }
 
-// The same model in the legacy v1 text format.
-const std::string& TinyV1Snapshot() {
-  static const std::string* bytes = [] {
-    std::ostringstream out;
-    EXPECT_TRUE(TinyModel().Save(&out, SnapshotFormat::kV1).ok());
-    return new std::string(out.str());
-  }();
-  return *bytes;
+// One checked-in corpus file.
+std::string CorpusFile(const std::string& name) {
+  std::ifstream in(std::string(FALCC_CORPUS_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << name;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
 }
 
-// The v1 artifact without the optional monitor section — the oldest
-// layout, which exercises the end-of-stream path.
+// The legacy v1 text format is load-only, so its seeds are checked in: a
+// tiny model with the optional monitor section, and the same artifact
+// without it — the oldest layout, which exercises the end-of-stream path.
+std::string TinyV1Snapshot() { return CorpusFile("snapshot/valid-full.txt"); }
 std::string LegacySnapshot() {
-  const std::string& bytes = TinyV1Snapshot();
-  const size_t marker = bytes.find("falcc-monitor-v1");
-  return marker == std::string::npos ? bytes : bytes.substr(0, marker);
+  return CorpusFile("snapshot/valid-legacy.txt");
 }
 
 // A valid one-cluster delta against TinyModel's content hash: the
@@ -235,34 +236,6 @@ TEST(SnapshotRegressionTest, MidSectionTruncationsReturnDescriptiveErrors) {
     ASSERT_FALSE(r.ok()) << "cut at " << cut.size();
     EXPECT_FALSE(r.status().message().empty()) << "cut at " << cut.size();
   }
-}
-
-TEST(SnapshotRegressionTest, LegacySnapshotRoundTripsByteIdentically) {
-  // An artifact saved before the drift monitor existed has no
-  // falcc-monitor-v1 section; Load → Save must reproduce it exactly
-  // instead of growing a section the original never had — or silently
-  // migrating it to the v2 container.
-  const std::string legacy = LegacySnapshot();
-  ASSERT_NE(legacy, TinyV1Snapshot());
-  const Result<FalccModel> model = testing::LoadFromString(legacy);
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  EXPECT_FALSE(model.value().has_baseline_losses());
-  std::string saved;
-  ASSERT_TRUE(testing::SaveToString(model.value(), &saved).ok());
-  EXPECT_EQ(saved, legacy);
-}
-
-TEST(SnapshotRegressionTest, V1SnapshotRoundTripsByteIdentically) {
-  // Save format is sticky: a model loaded from a v1 artifact saves v1
-  // again by default, so pre-v2 pipelines keep producing the bytes their
-  // golden files expect.
-  const std::string& v1 = TinyV1Snapshot();
-  const Result<FalccModel> model = testing::LoadFromString(v1);
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  EXPECT_EQ(model.value().save_format(), SnapshotFormat::kV1);
-  std::string saved;
-  ASSERT_TRUE(testing::SaveToString(model.value(), &saved).ok());
-  EXPECT_EQ(saved, v1);
 }
 
 TEST(SnapshotRegressionTest, CorruptedSectionIsNamedInTheError) {

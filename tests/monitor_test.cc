@@ -64,6 +64,11 @@ FalccOptions FastOptions() {
   return opt;
 }
 
+/// A checked-in snapshot artifact from tests/corpus/snapshot.
+std::string CorpusPath(const std::string& name) {
+  return std::string(FALCC_CORPUS_DIR) + "/snapshot/" + name;
+}
+
 std::vector<double> Flatten(const Dataset& data) {
   std::vector<double> flat;
   flat.reserve(data.num_rows() * data.num_features());
@@ -402,34 +407,26 @@ TEST(SnapshotBaselineTest, RoundTripPreservesBaselinesAndParams) {
 }
 
 TEST(SnapshotBaselineTest, LegacyStreamWithoutMonitorSectionStillLoads) {
-  const TrainValTest s = MakeSplits();
-  const FalccModel model =
-      FalccModel::Train(s.train, s.validation, FastOptions()).value();
-  std::stringstream buffer;
-  // Pre-monitoring artifacts only ever existed in the v1 text format.
-  ASSERT_TRUE(model.Save(&buffer, SnapshotFormat::kV1).ok());
-
-  // A pre-monitoring artifact is exactly the bytes before the trailing
+  // Pre-monitoring artifacts only ever existed in the v1 text format; the
+  // checked-in corpus holds one model with and without the trailing
   // monitor section.
-  std::string bytes = buffer.str();
-  const size_t marker = bytes.find("falcc-monitor-v1");
-  ASSERT_NE(marker, std::string::npos);
-  std::stringstream legacy(bytes.substr(0, marker));
-  const FalccModel loaded = FalccModel::Load(&legacy).value();
+  const FalccModel model =
+      FalccModel::LoadFromFile(CorpusPath("valid-full.txt")).value();
+  ASSERT_TRUE(model.has_baseline_losses());
+  const FalccModel loaded =
+      FalccModel::LoadFromFile(CorpusPath("valid-legacy.txt")).value();
   EXPECT_FALSE(loaded.has_baseline_losses());
   EXPECT_TRUE(loaded.baseline_losses().empty());
 
   // Classification is unaffected by the missing section.
+  const TrainValTest s = MakeSplits();
   for (size_t i = 0; i < std::min<size_t>(s.test.num_rows(), 50); ++i) {
     EXPECT_EQ(loaded.Classify(s.test.Row(i)), model.Classify(s.test.Row(i)));
   }
 
   // But the monitor refuses to attach without baselines.
-  serve::FalccEngineOptions engine_options;
-  engine_options.start_flusher = false;
-  serve::FalccEngine engine(engine_options);
-  std::stringstream legacy_again(bytes.substr(0, marker));
-  engine.Install(FalccModel::Load(&legacy_again).value());
+  serve::FalccEngine engine;
+  ASSERT_TRUE(engine.ReloadFromFile(CorpusPath("valid-legacy.txt")).ok());
   Result<std::unique_ptr<FairnessMonitor>> monitor =
       FairnessMonitor::Attach(&engine);
   ASSERT_FALSE(monitor.ok());
@@ -483,9 +480,7 @@ TEST(RefreshCompileTest, UntouchedClustersReuseKernelsAcrossHotSwap) {
   for (size_t c = 0; c < clone.num_clusters(); ++c) {
     expected.push_back(clone.compiled_combo(c).get());
   }
-  serve::FalccEngineOptions engine_options;
-  engine_options.start_flusher = false;
-  serve::FalccEngine engine(engine_options);
+  serve::FalccEngine engine;
   engine.Install(std::move(clone));
   const std::shared_ptr<const FalccModel> snapshot = engine.snapshot();
   ASSERT_NE(snapshot, nullptr);
@@ -580,9 +575,7 @@ TEST(MonitorE2ETest, AlarmOnlyOnShiftedClusterAndRefreshImproves) {
       std::max_element(per_cluster.begin(), per_cluster.end()) -
       per_cluster.begin());
 
-  serve::FalccEngineOptions engine_options;
-  engine_options.start_flusher = false;
-  serve::FalccEngine engine(engine_options);
+  serve::FalccEngine engine;
   engine.Install(std::move(model));
 
   MonitorOptions options;
@@ -658,7 +651,7 @@ TEST(MonitorE2ETest, AlarmOnlyOnShiftedClusterAndRefreshImproves) {
 
   // A replica serving the base snapshot applies the delta and converges
   // on the primary's refreshed snapshot without a full reload.
-  serve::FalccEngine replica(engine_options);
+  serve::FalccEngine replica;
   std::istringstream base_in(base_bytes.str());
   replica.Install(FalccModel::Load(&base_in).value());
   ASSERT_TRUE(replica.ApplyDeltaBytes(delta_bytes.str()).ok());
@@ -793,15 +786,18 @@ TEST(MonitorShardedTest, ObserverFanInDrivesRefreshAcrossShards) {
 
 // --- Concurrency (ThreadSanitizer coverage) ----------------------------
 
-// Concurrent decision logging (direct + micro-batched paths), feedback
-// ingestion, polling with auto-refresh, and snapshot hot-swaps — the
-// full monitor surface under race detection.
+// Concurrent decision logging (direct store batches + shard flushes, both
+// fanning in through the snapshot store), feedback ingestion, polling with
+// auto-refresh, and snapshot hot-swaps — the full monitor surface under
+// race detection.
 TEST(MonitorConcurrencyTest, LoggingFeedbackPollAndHotSwapRace) {
   const TrainValTest s = MakeSplits(11, 1200);
   FalccModel model =
       FalccModel::Train(s.train, s.validation, FastOptions()).value();
 
-  serve::FalccEngine engine;  // flusher running
+  serve::ShardedEngineOptions engine_options;
+  engine_options.num_shards = 2;
+  serve::ShardedEngine engine(engine_options);
   engine.Install(std::move(model));
 
   MonitorOptions options;
@@ -818,14 +814,15 @@ TEST(MonitorConcurrencyTest, LoggingFeedbackPollAndHotSwapRace) {
   const size_t num_rows = s.test.num_rows();
   std::atomic<bool> done{false};
 
-  // Two classifier threads: one direct-batch, one through the queue.
+  // Two classifier threads: one direct-batch through the snapshot store,
+  // one submitting through the shards.
   std::thread batcher([&] {
     for (size_t iter = 0; iter < 40; ++iter) {
       const size_t start = (iter * 16) % (num_rows - 16);
       const ClassifyRequest request{
           std::span<const double>(pool.data() + start * width, 16 * width),
           width};
-      ASSERT_TRUE(engine.ClassifyBatch(request).ok());
+      ASSERT_TRUE(engine.snapshot_store()->ClassifyBatch(request).ok());
     }
   });
   std::thread submitter([&] {

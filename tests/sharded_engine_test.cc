@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,7 +14,6 @@
 #include "core/falcc.h"
 #include "data/split.h"
 #include "datagen/synthetic.h"
-#include "serve/batch_queue.h"
 #include "serve/shard_router.h"
 #include "testing/invariants.h"
 #include "util/parallel.h"
@@ -423,6 +424,113 @@ TEST(ShardedEngineTest, HotSwapUnderConcurrentShardedSubmits) {
   // Same artifact on every reload: decisions never waver mid-swap.
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(engine.GetMetrics().errors, 0u);
+}
+
+/// Checks every observed decision against the model of the version the
+/// observer was given: odd versions serve `odd`, even versions `even`.
+class VersionCheckingObserver final : public serve::DecisionObserver {
+ public:
+  VersionCheckingObserver(const FalccModel* odd, const FalccModel* even)
+      : odd_(odd), even_(even) {}
+
+  void OnDecision(const SampleDecision& decision,
+                  std::span<const double> features,
+                  uint64_t snapshot_version) override {
+    const FalccModel& model = snapshot_version % 2 == 1 ? *odd_ : *even_;
+    if (decision.label != model.Classify(features) ||
+        decision.probability != model.ClassifyProba(features)) {
+      mismatches_.fetch_add(1, std::memory_order_relaxed);
+    }
+    observed_.fetch_add(1, std::memory_order_release);
+  }
+
+  uint64_t observed() const { return observed_.load(std::memory_order_acquire); }
+  uint64_t mismatches() const {
+    return mismatches_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  const FalccModel* odd_;
+  const FalccModel* even_;
+  std::atomic<uint64_t> observed_{0};
+  std::atomic<uint64_t> mismatches_{0};
+};
+
+// The observer is told the version of the snapshot that made each
+// decision — also for flushes that straddle a hot-swap, because the
+// snapshot and its version are read together.
+TEST(ShardedEngineTest, ObserverReportsTheVersionThatDecided) {
+  const TrainValTest s = MakeSplits();
+  const FalccModel a =
+      FalccModel::Train(s.train, s.validation, FastOptions()).value();
+  FalccOptions other = FastOptions();
+  other.seed = 7;
+  other.trainer.depth_grid = {1};
+  const FalccModel b =
+      FalccModel::Train(s.train, s.validation, other).value();
+  size_t disagree = 0;
+  for (size_t i = 0; i < s.test.num_rows(); ++i) {
+    if (a.ClassifyProba(s.test.Row(i)) != b.ClassifyProba(s.test.Row(i))) {
+      ++disagree;
+    }
+  }
+  ASSERT_GT(disagree, s.test.num_rows() / 10) << "models must disagree";
+  std::string bytes[2];
+  for (int m = 0; m < 2; ++m) {
+    std::ostringstream out;
+    ASSERT_TRUE((m == 0 ? a : b).Save(&out).ok());
+    bytes[m] = out.str();
+  }
+  const auto install = [&](serve::ShardedEngine* engine, int m) {
+    std::istringstream in(bytes[m]);
+    engine->Install(FalccModel::Load(&in).value());
+  };
+
+  serve::ShardedEngineOptions options;
+  options.num_shards = 2;
+  serve::ShardedEngine engine(options);
+  install(&engine, 0);  // version 1: a
+  auto observer = std::make_shared<VersionCheckingObserver>(&a, &b);
+  engine.SetDecisionObserver(observer);
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      std::vector<serve::ShardTicket> tickets;
+      size_t i = c;
+      while (!stop.load(std::memory_order_relaxed)) {
+        tickets.clear();
+        for (int k = 0; k < 32; ++k, ++i) {
+          Result<serve::ShardTicket> t =
+              engine.Submit(s.test.Row(i % s.test.num_rows()));
+          if (t.ok()) tickets.push_back(std::move(t).value());
+        }
+        for (const serve::ShardTicket& t : tickets) (void)t.Wait();
+      }
+    });
+  }
+  // Hot-swap a <-> b; after each swap wait until the shards have served
+  // some decisions, so every version is exercised under traffic.
+  const int kSwaps = 40;
+  for (int swap = 0; swap < kSwaps; ++swap) {
+    install(&engine, (swap + 1) % 2);
+    const uint64_t seen = observer->observed();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (observer->observed() < seen + 64 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : clients) t.join();
+  engine.Shutdown();
+
+  EXPECT_EQ(engine.snapshot_version(), static_cast<uint64_t>(kSwaps + 1));
+  EXPECT_GE(observer->observed(), static_cast<uint64_t>(kSwaps) * 64);
+  EXPECT_EQ(observer->mismatches(), 0u);
+  EXPECT_EQ(engine.GetMetrics().observed, observer->observed());
 }
 
 TEST(ShardedEngineTest, FleetMetricsAggregateAllShards) {

@@ -143,6 +143,12 @@ FalccModel TrainTinyModel(uint64_t seed) {
   return FalccModel::Train(s.train, s.validation, opt).value();
 }
 
+/// A checked-in legacy v1 artifact from tests/corpus/snapshot (v1 is
+/// load-only: nothing writes it any more).
+std::string V1CorpusPath(const std::string& name) {
+  return std::string(FALCC_CORPUS_DIR) + "/snapshot/" + name;
+}
+
 std::string SaveBytes(const FalccModel& model) {
   std::ostringstream out;
   EXPECT_TRUE(model.Save(&out).ok());
@@ -182,13 +188,34 @@ void ExpectSameDecisions(const std::vector<SampleDecision>& a,
 
 TEST(SnapshotV2Test, SaveLoadSaveIsByteIdentical) {
   const FalccModel model = TrainTinyModel(42);
-  EXPECT_EQ(model.save_format(), SnapshotFormat::kV2);
   const std::string bytes = SaveBytes(model);
   std::istringstream in(bytes);
   const Result<FalccModel> loaded = FalccModel::Load(&in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().save_format(), SnapshotFormat::kV2);
   EXPECT_EQ(SaveBytes(loaded.value()), bytes);
+}
+
+TEST(SnapshotV2Test, V1ArtifactResavesAsV2WithIdenticalDecisions) {
+  // Save always writes v2: load v1 -> save -> reload keeps every decision
+  // and the content hash, and the re-saved bytes are a v2 fixed point.
+  for (const char* name : {"valid-full.txt", "valid-legacy.txt"}) {
+    const Result<FalccModel> v1 = FalccModel::LoadFromFile(V1CorpusPath(name));
+    ASSERT_TRUE(v1.ok()) << name << ": " << v1.status().ToString();
+    const std::string bytes = SaveBytes(v1.value());
+    EXPECT_EQ(bytes.rfind(io::kSnapshotHeaderV2, 0), 0u) << name;
+    std::istringstream in(bytes);
+    const Result<FalccModel> v2 = FalccModel::Load(&in);
+    ASSERT_TRUE(v2.ok()) << name << ": " << v2.status().ToString();
+    const std::vector<double> probe = ProbeRows(v1.value(), 16);
+    ExpectSameDecisions(Decide(v1.value(), probe), Decide(v2.value(), probe));
+    EXPECT_EQ(v2.value().has_baseline_losses(),
+              v1.value().has_baseline_losses())
+        << name;
+    EXPECT_EQ(v2.value().ContentHash().value(),
+              v1.value().ContentHash().value())
+        << name;
+    EXPECT_EQ(SaveBytes(v2.value()), bytes) << name;
+  }
 }
 
 TEST(SnapshotV2Test, ContentHashIgnoresTheDerivedFlatSection) {
@@ -233,17 +260,14 @@ TEST(SnapshotV2Test, MappedLoadIsBitIdenticalToStreamLoad) {
 }
 
 TEST(SnapshotV2Test, MappedLoadFallsBackForV1Artifacts) {
-  const FalccModel model = TrainTinyModel(42);
-  const std::string path = ::testing::TempDir() + "/falcc-v1-model.falcc";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(model.Save(&out, SnapshotFormat::kV1).ok());
-  }
+  const std::string path = V1CorpusPath("valid-full.txt");
+  const Result<FalccModel> streamed = FalccModel::LoadFromFile(path);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   const Result<FalccModel> loaded = FalccModel::LoadMapped(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const std::vector<double> probe = ProbeRows(model, 8);
-  ExpectSameDecisions(Decide(model, probe), Decide(loaded.value(), probe));
-  std::remove(path.c_str());
+  const std::vector<double> probe = ProbeRows(streamed.value(), 8);
+  ExpectSameDecisions(Decide(streamed.value(), probe),
+                      Decide(loaded.value(), probe));
 }
 
 TEST(SnapshotDeltaTest, DeltaMatchesCloneWithRefreshes) {
@@ -364,9 +388,7 @@ TEST(SnapshotSourceTest, DispatchesFullMappedAndDeltaLoads) {
                     .ok());
   }
 
-  serve::FalccEngineOptions eopt;
-  eopt.start_flusher = false;
-  serve::FalccEngine engine(eopt);
+  serve::FalccEngine engine;
   serve::SnapshotSourceOptions sopt;
   sopt.prefer_mmap = true;
   serve::SnapshotSource source(&engine, sopt);
@@ -415,7 +437,7 @@ TEST(SnapshotSourceTest, WorksAgainstAShardedEngine) {
   serve::ShardedEngineOptions sopt;
   sopt.num_shards = 2;
   serve::ShardedEngine engine(sopt);
-  serve::SnapshotSource source(&engine);
+  serve::SnapshotSource source(engine.snapshot_store());
   const Result<serve::SnapshotLoadKind> kind = source.Load(path);
   ASSERT_TRUE(kind.ok()) << kind.status().ToString();
   EXPECT_EQ(kind.value(), serve::SnapshotLoadKind::kFull);
@@ -429,9 +451,7 @@ TEST(SnapshotSourceTest, WorksAgainstAShardedEngine) {
 }
 
 TEST(SnapshotSourceTest, EngineInstallCachesTheManifest) {
-  serve::FalccEngineOptions eopt;
-  eopt.start_flusher = false;
-  serve::FalccEngine engine(eopt);
+  serve::FalccEngine engine;
   engine.Install(TrainTinyModel(42));
   // The manifest (and so the content hash) is frozen into the snapshot
   // at install time — delta application never recomputes it.

@@ -21,9 +21,12 @@
 #      bench_replicate --smoke --transport=socket run gating the
 #      socket-push transport alone: a 4-replica fleet following a
 #      unix-socket SocketPublisher feed must converge on every event
-#      with decisions bit-identical to the primary's,
+#      with decisions bit-identical to the primary's, plus a stress pass
+#      that repeats the serving tests (`ctest -L serve`) until one fails,
+#      up to 10 times, so an intermittent race there fails the check,
 #   2. ThreadSanitizer build run with FALCC_THREADS=4 so data races in the
-#      parallel runtime, the serving engine's hot-swap/micro-batch paths
+#      parallel runtime, the snapshot store's hot-swap and observer
+#      fan-in paths
 #      (including concurrent classify during a hot-swap kernel recompile,
 #      tests/compiled_ensemble_test.cc), the sharded fleet's lock-free
 #      submit rings, wakeup protocol, and shutdown drain under concurrent
@@ -88,6 +91,8 @@ if [[ "$run_plain" == 1 ]]; then
   echo "=== check 1/3 (cont.): socket-transport smoke (convergence + identity gate) ==="
   ./build/bench/bench_replicate --smoke --transport=socket \
     --out=build/BENCH_replicate_socket_smoke.json
+  echo "=== check 1/3 (cont.): serving stress (ctest -L serve, 10 repeats) ==="
+  ctest --test-dir build -L serve --repeat until-fail:10 --output-on-failure
 fi
 
 if [[ "$run_tsan" == 1 ]]; then

@@ -14,10 +14,16 @@
 //    stages compilation does not touch (Amdahl), and is reported
 //    separately from the kernel-level ratio.
 //
+// Every case is timed at several batch sizes: each pass covers all probe
+// rows in calls of 1, 4 and 32 rows (the few-row segments online serving
+// produces, where the kernel's (row, tree) lanes matter) and in one call
+// over every row.
+//
 // Every timed pass re-checks bit-identity: compiled probabilities (and,
-// end-to-end, whole decisions) must equal the interpreted ones exactly;
-// the binary exits non-zero on any divergence. Results go to
-// BENCH_infer.json; `--compiled=off` skips the compiled measurements
+// end-to-end, whole decisions) must equal the interpreted ones exactly,
+// at every batch size; the binary exits non-zero on any divergence.
+// Results go to BENCH_infer.json together with the hardware and build
+// fingerprint; `--compiled=off` skips the compiled measurements
 // (interpreted baseline only, no speedups).
 
 #include <algorithm>
@@ -26,6 +32,9 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,8 +51,12 @@
 namespace falcc {
 namespace {
 
+// Rows per call; 0 stands for one call over every probe row.
+constexpr size_t kBatchSizes[] = {1, 4, 32, 0};
+
 struct CaseResult {
   std::string name;
+  size_t batch = 0;  ///< rows per call
   size_t num_trees = 0;
   size_t num_nodes = 0;
   double interpreted_ns_per_row = 0.0;
@@ -88,32 +101,57 @@ double MedianNsPerRow(size_t rows, size_t reps, const Fn& fn) {
   return MedianSeconds(std::move(times)) * 1e9 / static_cast<double>(rows);
 }
 
-CaseResult RunModelCase(const std::string& name, const Classifier& model,
-                        const Dataset& probe, size_t reps, bool run_compiled) {
-  CaseResult result;
-  result.name = name;
+/// Calls `fn(begin, count)` over [0, rows) in consecutive calls of
+/// `batch` rows (the last one may be shorter).
+template <typename Fn>
+void ForEachBatch(size_t rows, size_t batch, const Fn& fn) {
+  for (size_t begin = 0; begin < rows; begin += batch) {
+    fn(begin, std::min(batch, rows - begin));
+  }
+}
 
+/// One result per batch size for `model`, interpreted vs compiled.
+void RunModelCase(const std::string& name, const Classifier& model,
+                  const Dataset& probe, size_t reps, bool run_compiled,
+                  std::vector<CaseResult>* results) {
   const std::vector<size_t> rows = AllRows(probe.num_rows());
   std::vector<double> interpreted(rows.size());
   std::vector<double> compiled(rows.size());
+  const std::span<const size_t> all_rows(rows);
 
-  result.interpreted_ns_per_row = MedianNsPerRow(
-      rows.size(), reps,
-      [&] { model.PredictProbaBatch(probe, rows, interpreted); });
-  if (!run_compiled) return result;
-
-  const Result<CompiledEnsemble> kernel = CompiledEnsemble::Compile(model);
-  FALCC_CHECK(kernel.ok(), "bench_infer: compile failed");
-  result.num_trees = kernel.value().num_trees();
-  result.num_nodes = kernel.value().num_nodes();
-  result.compiled_ns_per_row = MedianNsPerRow(
-      rows.size(), reps,
-      [&] { kernel.value().PredictProbaBatch(probe, rows, compiled); });
-  result.speedup = result.interpreted_ns_per_row / result.compiled_ns_per_row;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (interpreted[i] != compiled[i]) result.decisions_identical = false;
+  std::optional<CompiledEnsemble> kernel;
+  if (run_compiled) {
+    Result<CompiledEnsemble> compiled_kernel = CompiledEnsemble::Compile(model);
+    FALCC_CHECK(compiled_kernel.ok(), "bench_infer: compile failed");
+    kernel.emplace(std::move(compiled_kernel).value());
   }
-  return result;
+
+  for (size_t batch_size : kBatchSizes) {
+    CaseResult result;
+    result.name = name;
+    result.batch = batch_size == 0 ? rows.size() : batch_size;
+    result.interpreted_ns_per_row =
+        MedianNsPerRow(rows.size(), reps, [&] {
+          ForEachBatch(rows.size(), result.batch, [&](size_t b, size_t n) {
+            model.PredictProbaBatch(probe, all_rows.subspan(b, n),
+                                    std::span(interpreted).subspan(b, n));
+          });
+        });
+    if (kernel.has_value()) {
+      result.num_trees = kernel->num_trees();
+      result.num_nodes = kernel->num_nodes();
+      result.compiled_ns_per_row = MedianNsPerRow(rows.size(), reps, [&] {
+        ForEachBatch(rows.size(), result.batch, [&](size_t b, size_t n) {
+          kernel->PredictProbaBatch(probe, all_rows.subspan(b, n),
+                                    std::span(compiled).subspan(b, n));
+        });
+      });
+      result.speedup =
+          result.interpreted_ns_per_row / result.compiled_ns_per_row;
+      result.decisions_identical = interpreted == compiled;
+    }
+    results->push_back(result);
+  }
 }
 
 /// Training config for the end-to-end case: a pool of deep AdaBoost
@@ -129,48 +167,96 @@ FalccOptions EndToEndOptions() {
   return opt;
 }
 
-CaseResult RunEndToEnd(FalccModel* model, const std::vector<double>& flat,
-                       size_t width, size_t reps, bool run_compiled) {
-  CaseResult result;
-  result.name = "falcc_classify_batch";
-  result.end_to_end = true;
+/// Classifies every probe row in calls of `batch` rows; returns the
+/// decisions in row order.
+std::vector<SampleDecision> ClassifyInBatches(const FalccModel& model,
+                                              const std::vector<double>& flat,
+                                              size_t width, size_t batch) {
   const size_t rows = flat.size() / width;
-
-  ClassifyRequest request;
-  request.features = flat;
-  request.num_features = width;
-
-  ClassifyResponse interpreted, compiled;
-  model->set_use_compiled(false);
-  result.interpreted_ns_per_row = MedianNsPerRow(rows, reps, [&] {
-    Result<ClassifyResponse> r = model->ClassifyBatch(request);
-    FALCC_CHECK(r.ok(), "bench_infer: interpreted ClassifyBatch failed");
-    interpreted = std::move(r).value();
+  std::vector<SampleDecision> decisions(rows);
+  ForEachBatch(rows, batch, [&](size_t begin, size_t count) {
+    ClassifyRequest request;
+    request.features = std::span(flat).subspan(begin * width, count * width);
+    request.num_features = width;
+    Result<ClassifyResponse> r = model.ClassifyBatch(request);
+    FALCC_CHECK(r.ok(), "bench_infer: ClassifyBatch failed");
+    std::copy(r.value().decisions.begin(), r.value().decisions.end(),
+              decisions.begin() + static_cast<std::ptrdiff_t>(begin));
   });
-  if (!run_compiled) {
-    model->set_use_compiled(true);
-    return result;
-  }
+  return decisions;
+}
 
-  model->set_use_compiled(true);
-  for (size_t c = 0; c < model->num_clusters(); ++c) {
-    result.num_nodes += model->compiled_combo(c)->num_nodes();
-  }
-  result.compiled_ns_per_row = MedianNsPerRow(rows, reps, [&] {
-    Result<ClassifyResponse> r = model->ClassifyBatch(request);
-    FALCC_CHECK(r.ok(), "bench_infer: compiled ClassifyBatch failed");
-    compiled = std::move(r).value();
-  });
-  result.speedup = result.interpreted_ns_per_row / result.compiled_ns_per_row;
-  for (size_t i = 0; i < rows; ++i) {
-    const SampleDecision& a = interpreted.decisions[i];
-    const SampleDecision& b = compiled.decisions[i];
-    if (a.label != b.label || a.probability != b.probability ||
-        a.cluster != b.cluster || a.group != b.group || a.model != b.model) {
-      result.decisions_identical = false;
+/// One end-to-end result per batch size, fused kernels off vs on.
+void RunEndToEnd(FalccModel* model, const std::vector<double>& flat,
+                 size_t width, size_t reps, bool run_compiled,
+                 std::vector<CaseResult>* results) {
+  const size_t rows = flat.size() / width;
+  size_t num_nodes = 0;
+  if (run_compiled) {
+    for (size_t c = 0; c < model->num_clusters(); ++c) {
+      num_nodes += model->compiled_combo(c)->num_nodes();
     }
   }
-  return result;
+
+  for (size_t batch_size : kBatchSizes) {
+    CaseResult result;
+    result.name = "falcc_classify_batch";
+    result.end_to_end = true;
+    result.batch = batch_size == 0 ? rows : batch_size;
+    result.num_nodes = num_nodes;
+
+    std::vector<SampleDecision> interpreted, compiled;
+    model->set_use_compiled(false);
+    result.interpreted_ns_per_row = MedianNsPerRow(rows, reps, [&] {
+      interpreted = ClassifyInBatches(*model, flat, width, result.batch);
+    });
+    model->set_use_compiled(true);
+    if (run_compiled) {
+      result.compiled_ns_per_row = MedianNsPerRow(rows, reps, [&] {
+        compiled = ClassifyInBatches(*model, flat, width, result.batch);
+      });
+      result.speedup =
+          result.interpreted_ns_per_row / result.compiled_ns_per_row;
+      for (size_t i = 0; i < rows; ++i) {
+        const SampleDecision& a = interpreted[i];
+        const SampleDecision& b = compiled[i];
+        if (a.label != b.label || a.probability != b.probability ||
+            a.cluster != b.cluster || a.group != b.group ||
+            a.model != b.model) {
+          result.decisions_identical = false;
+        }
+      }
+    }
+    results->push_back(result);
+  }
+}
+
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+/// Hardware and build fingerprint: the machine and flags the figures
+/// belong to.
+std::string HardwareJson() {
+  __builtin_cpu_init();
+  std::ostringstream out;
+  out << "{\"nproc\": " << std::thread::hardware_concurrency()
+      << ", \"cpu_model\": \"" << CpuModel() << "\""
+      << ", \"avx2\": " << (__builtin_cpu_supports("avx2") ? "true" : "false")
+      << ", \"avx512f\": "
+      << (__builtin_cpu_supports("avx512f") ? "true" : "false")
+      << ", \"compiler\": \"" << FALCC_BENCH_COMPILER << "\""
+      << ", \"cxx_flags\": \"" << FALCC_BENCH_CXX_FLAGS << "\""
+      << ", \"build_type\": \"" << FALCC_BENCH_BUILD_TYPE << "\"}";
+  return out.str();
 }
 
 void WriteJson(const std::string& path, size_t rows, size_t reps,
@@ -186,23 +272,25 @@ void WriteJson(const std::string& path, size_t rows, size_t reps,
   FALCC_CHECK(static_cast<bool>(out), "cannot open BENCH_infer.json");
   out << "{\n";
   out << "  \"benchmark\": \"compiled_inference\",\n";
+  out << "  \"schema\": 2,\n";
   out << "  \"dataset\": \"implicit\",\n";
   out << "  \"rows\": " << rows << ",\n";
   out << "  \"reps\": " << reps << ",\n";
   out << "  \"threads\": " << Parallelism() << ",\n";
   out << "  \"compiled\": " << (run_compiled ? "true" : "false") << ",\n";
-  out << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
-      << ",\n";
-  out << "  \"note\": \"ns_per_row = median of reps passes; model-level "
-         "cases time the bare kernels, falcc_classify_batch is the full "
-         "online path (validate + transform + match + predict) so its "
-         "ratio is Amdahl-diluted; decisions_identical = compiled output "
-         "bit-equal to interpreted\",\n";
+  out << "  \"hardware\": " << HardwareJson() << ",\n";
+  out << "  \"note\": \"ns_per_row = median of reps passes over all rows, "
+         "each pass made of calls of `batch` rows (batch = rows: one call); "
+         "model-level cases time the bare kernels, falcc_classify_batch is "
+         "the full online path (validate + transform + match + predict) so "
+         "its ratio is Amdahl-diluted; decisions_identical = compiled output "
+         "bit-equal to interpreted; min_kernel_speedup is over every "
+         "model-level case and batch\",\n";
   out << "  \"cases\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const CaseResult& r = results[i];
-    out << "    {\"case\": \"" << r.name << "\", \"end_to_end\": "
-        << (r.end_to_end ? "true" : "false")
+    out << "    {\"case\": \"" << r.name << "\", \"batch\": " << r.batch
+        << ", \"end_to_end\": " << (r.end_to_end ? "true" : "false")
         << ", \"num_trees\": " << r.num_trees
         << ", \"num_nodes\": " << r.num_nodes
         << ", \"interpreted_ns_per_row\": " << r.interpreted_ns_per_row
@@ -257,8 +345,7 @@ int Main(int argc, char** argv) {
     opt.base.max_depth = 8;
     AdaBoost model(opt);
     FALCC_CHECK(model.Fit(train).ok(), "bench_infer: fit failed");
-    results.push_back(
-        RunModelCase("adaboost_deep", model, probe, reps, run_compiled));
+    RunModelCase("adaboost_deep", model, probe, reps, run_compiled, &results);
   }
   {
     AdaBoostOptions opt;
@@ -266,8 +353,7 @@ int Main(int argc, char** argv) {
     opt.base.max_depth = 4;
     AdaBoost model(opt);
     FALCC_CHECK(model.Fit(train).ok(), "bench_infer: fit failed");
-    results.push_back(
-        RunModelCase("adaboost_shallow", model, probe, reps, run_compiled));
+    RunModelCase("adaboost_shallow", model, probe, reps, run_compiled, &results);
   }
   {
     RandomForestOptions opt;
@@ -275,16 +361,14 @@ int Main(int argc, char** argv) {
     opt.base.max_depth = 10;
     RandomForest model(opt);
     FALCC_CHECK(model.Fit(train).ok(), "bench_infer: fit failed");
-    results.push_back(
-        RunModelCase("random_forest", model, probe, reps, run_compiled));
+    RunModelCase("random_forest", model, probe, reps, run_compiled, &results);
   }
   {
     DecisionTreeOptions opt;
     opt.max_depth = 12;
     DecisionTree model(opt);
     FALCC_CHECK(model.Fit(train).ok(), "bench_infer: fit failed");
-    results.push_back(
-        RunModelCase("single_tree", model, probe, reps, run_compiled));
+    RunModelCase("single_tree", model, probe, reps, run_compiled, &results);
   }
   {
     cfg.num_samples = 6000;
@@ -294,16 +378,17 @@ int Main(int argc, char** argv) {
         FalccModel::Train(e2e_train, probe, EndToEndOptions());
     FALCC_CHECK(model.ok(), "bench_infer: train failed");
     const std::vector<double> flat = Flatten(probe);
-    results.push_back(RunEndToEnd(&model.value(), flat, probe.num_features(),
-                                  reps, run_compiled));
+    RunEndToEnd(&model.value(), flat, probe.num_features(), reps,
+                run_compiled, &results);
   }
 
   bool all_identical = true;
   for (const CaseResult& r : results) {
     std::printf(
-        "%-22s interpreted %9.1f ns/row   compiled %9.1f ns/row   "
-        "speedup %5.2fx   identical=%s\n",
-        r.name.c_str(), r.interpreted_ns_per_row, r.compiled_ns_per_row,
+        "%-22s batch %6zu   interpreted %9.1f ns/row   compiled %9.1f "
+        "ns/row   speedup %5.2fx   identical=%s\n",
+        r.name.c_str(), r.batch, r.interpreted_ns_per_row,
+        r.compiled_ns_per_row,
         r.speedup, r.decisions_identical ? "true" : "false");
     all_identical = all_identical && r.decisions_identical;
   }

@@ -8,9 +8,12 @@ namespace falcc {
 
 namespace {
 
-// Rows per traversal block: enough independent walks to hide the
-// dependent-load latency of `children[2i + b]`, small enough that the
-// row pointers, node cursors, and accumulators stay in registers / L1.
+// Kernel lanes per traversal block, and the most rows one block takes. A
+// lane is one (row, tree) cursor: a block of n rows walks kRowBlock / n
+// trees side by side, so up to kRowBlock independent walks hide the
+// dependent-load latency of `children[2i + b]` however few rows a segment
+// has, while the lane row pointers, node cursors, and accumulators stay
+// in registers / L1.
 constexpr size_t kRowBlock = 32;
 
 using FlatParts = CompiledCombo::FlatParts;
@@ -26,73 +29,88 @@ bool SameSpanBits(std::span<const T> a, std::span<const T> b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
-// Advances every row's node cursor until it rests on a leaf (at most
-// `tree.steps` levels). Each step is one gather plus a branchless child
-// select — `v > threshold` indexes the children pair, which decides
-// exactly like the interpreted `v <= threshold ? left : right`. Leaves
-// self-loop, so a converged row spins in place; children sit strictly
-// after their parent, so `next != i` iff some row is still descending,
-// and the level loop stops as soon as the whole block has converged
-// (real trees are unbalanced — most blocks finish well before the
-// worst-case depth). The exit cannot change where any cursor lands.
-inline void WalkTree(const FlatParts& parts, const TreeRef& tree,
-                     const double* const* row, size_t n, uint32_t* node) {
-  const int32_t* feature = parts.feature.data();
-  const double* threshold = parts.threshold.data();
-  const uint32_t* children = parts.children.data();
-  for (size_t r = 0; r < n; ++r) node[r] = tree.root;
-  for (uint32_t step = 0; step < tree.steps; ++step) {
-    uint32_t moved = 0;
-    for (size_t r = 0; r < n; ++r) {
-      const uint32_t i = node[r];
-      const double v = row[r][feature[i]];
-      const uint32_t next =
-          children[2 * i + static_cast<uint32_t>(v > threshold[i])];
-      moved |= next ^ i;
-      node[r] = next;
-    }
-    if (moved == 0) break;
-  }
-}
-
 // The shared fused kernel: walks every tree of one entry over `rows` in
-// blocks and combines leaves per `kind`. Accumulation mirrors the
-// interpreted batch paths operation for operation (margins in boosting-
-// round order against a precomputed alpha_sum; forest votes divided by
-// the tree count), so the output is bit-identical to PredictProbaBatch.
+// blocks of up to kRowBlock rows and combines leaves per `kind`.
+//
+// A block of n rows runs kRowBlock / n trees at once, one lane per
+// (row, tree) pair, so a 1-row serving segment keeps as many cursors in
+// flight as a full block instead of walking its trees as one serial chain
+// of dependent loads. Each step is one gather plus a branchless child
+// select — `v > threshold` indexes the children pair, which decides
+// exactly like the interpreted `v <= threshold ? left : right`. A tree
+// group is walked for its largest `steps`: leaves self-loop, so a landed
+// lane spins in place; children sit strictly after their parent, so
+// `next != i` iff some lane is still descending, and the level loop stops
+// as soon as the whole group has landed. Neither can change where any
+// cursor ends.
+//
+// Leaves are then folded into the accumulators in tree (boosting-round)
+// order, mirroring the interpreted batch paths operation for operation
+// (margins against a precomputed alpha_sum; forest votes divided by the
+// tree count), so the output is bit-identical to PredictProbaBatch.
 void PredictFlat(const FlatParts& parts, std::span<const TreeRef> trees,
                  std::span<const double> alphas, EnsembleKind kind,
                  double alpha_sum, const Dataset& data,
                  std::span<const size_t> rows, std::span<double> out) {
+  const int32_t* feature = parts.feature.data();
+  const double* threshold = parts.threshold.data();
+  const uint32_t* children = parts.children.data();
   const double* leaf = parts.leaf_proba.data();
   const double num_trees = static_cast<double>(trees.size());
   for (size_t begin = 0; begin < rows.size(); begin += kRowBlock) {
     const size_t n = std::min(kRowBlock, rows.size() - begin);
+    const size_t width = kRowBlock / n;  // trees per lane group
+    // Lane j * n + r walks row r through the group's j-th tree.
     const double* row[kRowBlock];
-    double acc[kRowBlock];
     uint32_t node[kRowBlock];
+    double acc[kRowBlock];
     for (size_t r = 0; r < n; ++r) {
       row[r] = data.Row(rows[begin + r]).data();
       acc[r] = 0.0;
     }
-    for (size_t t = 0; t < trees.size(); ++t) {
-      WalkTree(parts, trees[t], row, n, node);
-      switch (kind) {
-        case EnsembleKind::kTree:
-          for (size_t r = 0; r < n; ++r) acc[r] = leaf[node[r]];
-          break;
-        case EnsembleKind::kAdaBoost: {
-          const double alpha = alphas[t];
-          for (size_t r = 0; r < n; ++r) {
-            acc[r] += alpha * (leaf[node[r]] >= 0.5 ? 1.0 : -1.0);
-          }
-          break;
+    for (size_t lane = n; lane < width * n; ++lane) row[lane] = row[lane - n];
+
+    for (size_t first = 0; first < trees.size(); first += width) {
+      const size_t group = std::min(width, trees.size() - first);
+      const size_t lanes = group * n;
+      uint32_t steps = 0;
+      for (size_t j = 0; j < group; ++j) {
+        const TreeRef& tree = trees[first + j];
+        steps = std::max(steps, tree.steps);
+        for (size_t r = 0; r < n; ++r) node[j * n + r] = tree.root;
+      }
+      for (uint32_t step = 0; step < steps; ++step) {
+        uint32_t moved = 0;
+        for (size_t lane = 0; lane < lanes; ++lane) {
+          const uint32_t i = node[lane];
+          const double v = row[lane][feature[i]];
+          const uint32_t next =
+              children[2 * i + static_cast<uint32_t>(v > threshold[i])];
+          moved |= next ^ i;
+          node[lane] = next;
         }
-        case EnsembleKind::kForest:
-          for (size_t r = 0; r < n; ++r) {
-            if (leaf[node[r]] >= 0.5) acc[r] += 1.0;
+        if (moved == 0) break;
+      }
+
+      for (size_t j = 0; j < group; ++j) {
+        const uint32_t* landed = node + j * n;
+        switch (kind) {
+          case EnsembleKind::kTree:
+            for (size_t r = 0; r < n; ++r) acc[r] = leaf[landed[r]];
+            break;
+          case EnsembleKind::kAdaBoost: {
+            const double alpha = alphas[first + j];
+            for (size_t r = 0; r < n; ++r) {
+              acc[r] += alpha * (leaf[landed[r]] >= 0.5 ? 1.0 : -1.0);
+            }
+            break;
           }
-          break;
+          case EnsembleKind::kForest:
+            for (size_t r = 0; r < n; ++r) {
+              if (leaf[landed[r]] >= 0.5) acc[r] += 1.0;
+            }
+            break;
+        }
       }
     }
     switch (kind) {

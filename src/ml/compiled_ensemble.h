@@ -5,11 +5,18 @@
 // dispatch per model. This layer lowers every CART / AdaBoost /
 // RandomForest into a structure-of-arrays node table (feature indices,
 // thresholds, child offsets, and leaf probabilities in separate
-// contiguous arrays) and walks it branch-free, level-by-level, over
-// blocks of rows — the VPred / QuickScorer family of layouts. Leaves are
-// encoded as self-loops (both children point at the node itself), so a
-// fixed `depth` steps from the root lands every row on its leaf and the
-// inner loop needs no termination test.
+// contiguous arrays) and walks it branch-free, level-by-level — the
+// VPred / QuickScorer family of layouts. Leaves are encoded as
+// self-loops (both children point at the node itself), so a fixed
+// `depth` steps from the root lands every walk on its leaf and the inner
+// loop needs no termination test.
+//
+// The kernel's lanes are (row, tree) pairs: a block of n <= 32 rows walks
+// 32 / n trees side by side, each tree group for its largest depth, so a
+// 1-row serving segment keeps 32 independent walks in flight instead of
+// one serial chain of dependent cache-missing loads. Leaves are then
+// folded into the per-row accumulators in tree order, which is what keeps
+// the output bit-identical.
 //
 // Two compiled artifacts exist:
 //  * CompiledEnsemble — one classifier, lowered standalone. Used by the

@@ -1,12 +1,15 @@
 // Tests of the compiled flat-node inference kernels: bit-identity with
 // the interpreted prediction path for every lowerable model family
-// (including block-edge batch sizes), fallback behaviour for models that
-// do not lower, stitching/dedup in CompiledCombo, bit-identity on the
-// checked-in golden models, and classify-during-hot-swap-recompile
-// concurrency (the TSan target in tools/check.sh).
+// (every batch size up to two blocks, remainder lane groups, mixed tree
+// depths in one lane group), fallback behaviour for models that do not
+// lower, stitching/dedup in CompiledCombo, bit-identity on the
+// checked-in golden models (batched and in 1-3 row PredictGroup calls),
+// and classify-during-hot-swap-recompile concurrency (the TSan target in
+// tools/check.sh).
 
 #include "ml/compiled_ensemble.h"
 
+#include <algorithm>
 #include <atomic>
 #include <fstream>
 #include <memory>
@@ -57,17 +60,21 @@ void ExpectBitIdentical(const Classifier& model, const CompiledEnsemble& kernel,
   }
 }
 
-// Every batch size around the row-block boundary (the kernel processes
-// rows in fixed-size blocks) plus a full pass.
+// Every batch size from 0 to 65 — each lane schedule the kernel can pick
+// (a block of n rows walks 32 / n trees side by side, so 1, 2, 3, ... rows
+// group the trees differently, and 33..65 rows leave a short second
+// block) — plus a full pass.
 void CheckAllBlockEdges(const Classifier& model, const Dataset& data) {
   const Result<CompiledEnsemble> kernel = CompiledEnsemble::Compile(model);
   ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
   const std::vector<size_t> all = AllRows(data.num_rows());
-  for (size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16}, size_t{17},
-                   size_t{31}, size_t{33}, data.num_rows()}) {
+  const size_t sweep = std::min<size_t>(65, data.num_rows());
+  for (size_t n = 0; n <= sweep; ++n) {
+    SCOPED_TRACE(testing::Message() << "batch " << n);
     ExpectBitIdentical(model, kernel.value(), data,
                        std::span<const size_t>(all).subspan(0, n));
   }
+  ExpectBitIdentical(model, kernel.value(), data, all);
 }
 
 TEST(CompiledEnsembleTest, DecisionTreeBitIdentity) {
@@ -121,6 +128,65 @@ TEST(CompiledEnsembleTest, RandomForestBitIdentity) {
   RandomForest forest(options);
   ASSERT_TRUE(forest.Fit(data).ok());
   CheckAllBlockEdges(forest, data);
+}
+
+// Tree counts that leave a partial last lane group for most batch sizes
+// (1 and 3 trees fill few lanes of a 1-row block; 31, 33 and 40 straddle
+// a 32-tree group), for every ensemble kind.
+TEST(CompiledEnsembleTest, TreeCountsLeavingRemainderLaneGroups) {
+  const Dataset data = MakeData(300, 12);
+  for (size_t count : {size_t{1}, size_t{3}, size_t{31}, size_t{33},
+                       size_t{40}}) {
+    SCOPED_TRACE(testing::Message() << "trees " << count);
+    AdaBoostOptions boost_options;
+    boost_options.num_estimators = count;
+    boost_options.base.max_depth = 3;
+    AdaBoost boosted(boost_options);
+    ASSERT_TRUE(boosted.Fit(data).ok());
+    ASSERT_EQ(boosted.num_fitted(), count);
+    CheckAllBlockEdges(boosted, data);
+
+    RandomForestOptions forest_options;
+    forest_options.num_trees = count;
+    forest_options.base.max_depth = 6;
+    RandomForest forest(forest_options);
+    ASSERT_TRUE(forest.Fit(data).ok());
+    CheckAllBlockEdges(forest, data);
+  }
+  DecisionTreeOptions tree_options;
+  tree_options.max_depth = 7;
+  DecisionTree tree(tree_options);
+  ASSERT_TRUE(tree.Fit(data).ok());
+  CheckAllBlockEdges(tree, data);
+}
+
+// Trees of very different walk lengths inside one lane group: depth-9
+// trees, stumps, and root-only leaves (zero steps). Lanes whose tree has
+// landed must spin on their leaf while the group's deepest tree walks on.
+TEST(CompiledEnsembleTest, MixedDepthsInOneLaneGroup) {
+  const Dataset data = MakeData(400, 13);
+  std::vector<DecisionTree> forest_trees;
+  std::vector<DecisionTree> boost_trees;
+  std::vector<double> alphas;
+  for (size_t t = 0; t < 40; ++t) {
+    Dataset train = MakeData(300, 100 + t);
+    if (t % 7 == 3) {  // constant labels train a root-only leaf
+      for (size_t i = 0; i < train.num_rows(); ++i) train.SetLabel(i, 1);
+    }
+    DecisionTreeOptions options;
+    options.max_depth = t % 5 == 0 ? 9 : 1;
+    DecisionTree fitted(options);
+    ASSERT_TRUE(fitted.Fit(train).ok());
+    forest_trees.push_back(fitted);
+    boost_trees.push_back(fitted);
+    alphas.push_back(0.25 + 0.125 * static_cast<double>(t % 6));
+  }
+  const RandomForest forest =
+      RandomForest::FromParts(RandomForestOptions{}, std::move(forest_trees));
+  CheckAllBlockEdges(forest, data);
+  const AdaBoost boosted = AdaBoost::FromParts(
+      AdaBoostOptions{}, std::move(boost_trees), std::move(alphas));
+  CheckAllBlockEdges(boosted, data);
 }
 
 TEST(CompiledEnsembleTest, NonLowerableModelsFailPrecondition) {
@@ -201,6 +267,34 @@ TEST(CompiledComboTest, IndependentCompilesOfSameComboAreBitIdentical) {
 
 // --- Golden models -----------------------------------------------------
 
+// Serves `model` through a one-group CompiledCombo in consecutive calls
+// of 1, 2 and 3 rows — the tiny per-(cluster, group) segments of online
+// serving — against the interpreted batch over the same rows.
+void CheckPredictGroupRowByRow(std::unique_ptr<Classifier> model,
+                               const Dataset& data) {
+  const Classifier& reference = *model;
+  ModelPool pool;
+  pool.Add(std::move(model));
+  const auto combo = CompiledCombo::Compile(pool, ModelCombination{0});
+  ASSERT_TRUE(combo.ok()) << combo.status().ToString();
+  ASSERT_TRUE(combo.value()->GroupCompiled(0));
+  const std::vector<size_t> all = AllRows(data.num_rows());
+  for (size_t step : {size_t{1}, size_t{2}, size_t{3}}) {
+    for (size_t begin = 0; begin < all.size(); begin += step) {
+      const auto rows = std::span<const size_t>(all).subspan(
+          begin, std::min(step, all.size() - begin));
+      std::vector<double> interpreted(rows.size());
+      std::vector<double> fused(rows.size());
+      reference.PredictProbaBatch(data, rows, interpreted);
+      combo.value()->PredictGroup(data, 0, rows, fused);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(interpreted[i], fused[i])
+            << "row " << rows[i] << ", " << step << " rows per call";
+      }
+    }
+  }
+}
+
 // The checked-in reference models (tests/golden/) pin the trainers'
 // exact behaviour; the compiled kernels must reproduce each of them bit
 // for bit on a deterministic probe grid.
@@ -243,6 +337,7 @@ TEST(CompiledGoldenTest, GoldenModelsCompileBitIdentical) {
                         std::vector<int>(n, 0), {})
             .value();
     CheckAllBlockEdges(*model.value(), probe);
+    CheckPredictGroupRowByRow(std::move(model).value(), probe);
   }
 }
 

@@ -41,7 +41,11 @@
 #      split engine (ml/tree_builder.cc) and the compiled-kernel table
 #      walks (ml/compiled_ensemble.cc) fail loudly; the serving tests run
 #      here too, plus a short ASan bench_infer pass over the same
-#      compiled-vs-interpreted decision check.
+#      compiled-vs-interpreted decision check. bench_infer times every
+#      case in calls of 1, 4 and 32 rows as well as one full-batch call,
+#      so this pass walks the kernel's (row, tree) lane schedules for
+#      blocks of fewer than 32 rows — up to 32 trees in flight per row —
+#      not only full 32-row blocks.
 #
 # --fuzz-only instead runs the adversarial harness (`ctest -L fuzz`:
 # tests/fuzz_test.cc mutation loops over v1 snapshots, v2 sectioned

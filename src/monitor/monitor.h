@@ -60,7 +60,8 @@ struct MonitorOptions {
   /// Forwarded to RefresherOptions::checkpoint_every: a full-snapshot
   /// checkpoint is published to delta_dir after this many deltas so
   /// late-joining replicas bootstrap without replaying history (0 =
-  /// never).
+  /// never). It is written after the install, by the refresher's
+  /// background writer, so Poll never waits for it.
   size_t checkpoint_every = 8;
   /// Forwarded to RefresherOptions::feed_listen: when non-empty (with
   /// delta_dir set), published artifacts are also pushed to socket

@@ -1,5 +1,8 @@
 #include "monitor/refresher.h"
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <numeric>
 #include <string>
 #include <utility>
@@ -16,7 +19,14 @@ Refresher::Refresher(serve::FalccEngine* engine, RefresherOptions options)
   FALCC_CHECK(engine_ != nullptr, "Refresher: null engine");
 }
 
-Refresher::~Refresher() = default;
+Refresher::~Refresher() {
+  {
+    std::lock_guard<std::mutex> lock(checkpoint_mu_);
+    stop_checkpoints_ = true;
+  }
+  checkpoint_cv_.notify_one();
+  if (checkpoint_thread_.joinable()) checkpoint_thread_.join();
+}
 
 Result<RefreshOutcome> Refresher::RefreshCluster(const ClusterWindow& window,
                                                  size_t cluster) {
@@ -94,11 +104,13 @@ Result<RefreshOutcome> Refresher::RefreshCluster(const ClusterWindow& window,
       base_hash = hash.ValueOr(0);
       if (!have_base) delta_failures_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (have_base) {
-      PublishDelta(clone.value(), cluster, base_hash, &outcome);
-    }
+    // The delta is durable and pushed before the install; a due
+    // checkpoint of the installed snapshot follows in the background.
+    const bool checkpoint_due =
+        have_base && PublishDelta(clone.value(), cluster, base_hash, &outcome);
     engine_->Install(std::move(clone).value());
     installed_.fetch_add(1, std::memory_order_relaxed);
+    if (checkpoint_due) PostCheckpoint(engine_->snapshot());
   } else {
     rejected_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -106,9 +118,9 @@ Result<RefreshOutcome> Refresher::RefreshCluster(const ClusterWindow& window,
   return outcome;
 }
 
-void Refresher::PublishDelta(const FalccModel& next, size_t cluster,
+bool Refresher::PublishDelta(const FalccModel& next, size_t cluster,
                              uint64_t base_hash, RefreshOutcome* outcome) {
-  if (publisher_ == nullptr && socket_publisher_ == nullptr) {
+  if (publisher_ == nullptr) {
     replicate::DeltaPublisherOptions publisher_options;
     publisher_options.dir = options_.delta_dir;
     publisher_options.checkpoint_every = options_.checkpoint_every;
@@ -123,39 +135,68 @@ void Refresher::PublishDelta(const FalccModel& next, size_t cluster,
           replicate::SocketPublisher::Open(std::move(socket_options));
       if (!opened.ok()) {
         delta_failures_.fetch_add(1, std::memory_order_relaxed);
-        return;
+        return false;
       }
       socket_publisher_ = std::move(opened).value();
+      publisher_ = &socket_publisher_->publisher();
     } else {
       Result<replicate::DeltaPublisher> opened =
           replicate::DeltaPublisher::Open(publisher_options);
       if (!opened.ok()) {
         delta_failures_.fetch_add(1, std::memory_order_relaxed);
-        return;
+        return false;
       }
-      publisher_ = std::make_unique<replicate::DeltaPublisher>(
+      own_publisher_ = std::make_unique<replicate::DeltaPublisher>(
           std::move(opened).value());
+      publisher_ = own_publisher_.get();
     }
   }
   const size_t clusters[] = {cluster};
   Result<replicate::PublishReport> report =
-      socket_publisher_ != nullptr
-          ? socket_publisher_->PublishDelta(next, clusters, base_hash)
-          : publisher_->PublishDelta(next, clusters, base_hash);
+      publisher_->AppendDelta(next, clusters, base_hash);
   if (!report.ok()) {
     delta_failures_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return false;
   }
   delta_published_.fetch_add(1, std::memory_order_relaxed);
-  // The delta is always the first artifact; a cadence checkpoint (and
-  // its GC) may ride along in the same report.
   outcome->delta_path = report.value().artifacts.front().path;
   outcome->delta_bytes = report.value().artifacts.front().bytes;
-  for (const replicate::PublishedArtifact& artifact :
-       report.value().artifacts) {
-    if (artifact.kind == replicate::ArtifactKind::kFull) {
+  return report.value().checkpoint_due;
+}
+
+void Refresher::PostCheckpoint(std::shared_ptr<const FalccModel> head) {
+  {
+    std::lock_guard<std::mutex> lock(checkpoint_mu_);
+    pending_checkpoint_ = std::move(head);
+    if (!checkpoint_thread_.joinable()) {
+      checkpoint_thread_ = std::thread([this] { CheckpointLoop(); });
+    }
+  }
+  checkpoint_cv_.notify_one();
+}
+
+void Refresher::CheckpointLoop() {
+  // Checkpoints are off every latency path, so under CPU contention the
+  // serving, refresh and replication threads go first. Lowering a
+  // thread's own priority needs no privilege; failure changes nothing.
+  ::setpriority(PRIO_PROCESS, static_cast<id_t>(::gettid()), 19);
+  std::unique_lock<std::mutex> lock(checkpoint_mu_);
+  while (true) {
+    checkpoint_cv_.wait(lock, [&] {
+      return stop_checkpoints_ || pending_checkpoint_ != nullptr;
+    });
+    if (stop_checkpoints_) return;
+    std::shared_ptr<const FalccModel> head = std::move(pending_checkpoint_);
+    lock.unlock();
+    // A superseded checkpoint comes back empty and a failed one as an
+    // error; either way the cadence stays due for the next delta.
+    const Result<replicate::PublishReport> report =
+        publisher_->CheckpointHead(*head);
+    if (report.ok() && !report.value().artifacts.empty()) {
       checkpoints_published_.fetch_add(1, std::memory_order_relaxed);
     }
+    head.reset();
+    lock.lock();
   }
 }
 

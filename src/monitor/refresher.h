@@ -11,14 +11,25 @@
 // install goes through FalccModel::CloneWithRefreshes + the engine's
 // lock-free hot-swap, which leaves every other cluster's decisions
 // bit-identical.
+//
+// With a delta directory, an installed refresh publishes in this order:
+// the delta is made durable, pushed to socket subscribers, and only then
+// is the clone installed. A due cadence checkpoint never sits on that
+// path: the installed snapshot goes to one background writer (a
+// one-slot mailbox where the latest snapshot wins, joined by the
+// destructor), and the publisher commits it only while it is still the
+// feed's head (replicate/publisher.h).
 
 #ifndef FALCC_MONITOR_REFRESHER_H_
 #define FALCC_MONITOR_REFRESHER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 
 #include "monitor/window_stats.h"
 #include "serve/engine.h"
@@ -46,7 +57,10 @@ struct RefresherOptions {
   /// Checkpoint cadence: after this many published deltas the publisher
   /// also writes a full-snapshot checkpoint and garbage-collects
   /// superseded artifacts, so late-joining replicas bootstrap without
-  /// replaying history. 0 = never checkpoint.
+  /// replaying history. The checkpoint is written after the install, by
+  /// a background writer; one superseded by a newer refresh is dropped
+  /// and the next delta's checkpoint takes its place. 0 = never
+  /// checkpoint.
   size_t checkpoint_every = 8;
   /// When non-empty (requires delta_dir), artifacts are published
   /// through a replicate::SocketPublisher listening on this endpoint
@@ -76,7 +90,7 @@ struct RefresherStats {
   uint64_t rejected = 0;  ///< no candidate strictly beat the serving one
   uint64_t delta_published = 0;
   uint64_t delta_failures = 0;  ///< non-fatal: install succeeded anyway
-  uint64_t checkpoints_published = 0;  ///< cadence checkpoints written
+  uint64_t checkpoints_published = 0;  ///< cadence checkpoints committed
 };
 
 class Refresher {
@@ -85,7 +99,13 @@ class Refresher {
   /// Must outlive the refresher.
   explicit Refresher(serve::FalccEngine* engine,
                      RefresherOptions options = {});
+  /// Joins the checkpoint writer: a write in progress finishes, a
+  /// pending one is dropped (the feed still counts its cadence as due,
+  /// so a reopened publisher writes it with the next delta).
   ~Refresher();
+
+  Refresher(const Refresher&) = delete;
+  Refresher& operator=(const Refresher&) = delete;
 
   /// Rebuilds `cluster`'s combination over `window` (its labeled stream
   /// samples, see WindowStats::Window) and installs the result if it
@@ -99,25 +119,40 @@ class Refresher {
 
  private:
   /// Serializes and writes the delta artifact for an installed refresh.
-  /// Best-effort: errors are counted, never propagated.
-  void PublishDelta(const FalccModel& next, size_t cluster,
+  /// Best-effort: errors are counted, never propagated. Returns whether
+  /// the cadence calls for a checkpoint of `next`.
+  bool PublishDelta(const FalccModel& next, size_t cluster,
                     uint64_t base_hash, RefreshOutcome* outcome);
+  /// Hands `head` to the checkpoint writer (starting it on first use),
+  /// replacing any snapshot still waiting there.
+  void PostCheckpoint(std::shared_ptr<const FalccModel> head);
+  void CheckpointLoop();
 
   serve::FalccEngine* engine_;
   RefresherOptions options_;
   /// Lazily opened on the first publish (creating the directory then);
   /// sequencing, temp+rename writes, checkpoint cadence, and GC all
-  /// live in the publisher. Exactly one of the two is ever open:
-  /// socket_publisher_ (which wraps its own directory publisher) when
-  /// feed_listen is set, publisher_ otherwise.
-  std::unique_ptr<replicate::DeltaPublisher> publisher_;
+  /// live in the publisher. socket_publisher_ (which wraps its own
+  /// directory publisher) is open when feed_listen is set,
+  /// own_publisher_ otherwise; publisher_ points at the one in use.
+  std::unique_ptr<replicate::DeltaPublisher> own_publisher_;
   std::unique_ptr<replicate::SocketPublisher> socket_publisher_;
+  replicate::DeltaPublisher* publisher_ = nullptr;
+
   std::atomic<uint64_t> attempts_{0};
   std::atomic<uint64_t> installed_{0};
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> delta_published_{0};
   std::atomic<uint64_t> delta_failures_{0};
   std::atomic<uint64_t> checkpoints_published_{0};
+
+  /// The checkpoint writer's one-slot mailbox, and the writer itself
+  /// (declared last: it uses everything above).
+  std::mutex checkpoint_mu_;
+  std::condition_variable checkpoint_cv_;
+  std::shared_ptr<const FalccModel> pending_checkpoint_;
+  bool stop_checkpoints_ = false;
+  std::thread checkpoint_thread_;
 };
 
 }  // namespace falcc::monitor

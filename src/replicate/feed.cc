@@ -28,26 +28,9 @@ bool EndsWith(const std::string& s, const char* suffix) {
          std::string_view(s).substr(s.size() - sv.size()) == sv;
 }
 
-/// Sniffs `path`'s kind from its header line and, for deltas, parses the
-/// `base <hex>` line. Never fails: anything unexpected is kUnreadable.
-void SniffArtifact(const std::string& path, FeedEntry* entry) {
-  entry->kind = ArtifactKind::kUnreadable;
-  entry->base_hash = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return;
-  std::string line;
-  if (!std::getline(in, line)) return;
-  if (line == io::kSnapshotHeaderV2 || line == kModelHeaderV1) {
-    entry->kind = ArtifactKind::kFull;
-    return;
-  }
-  if (line != io::kDeltaHeaderV2) return;
-  // Delta: the base hash is the chain link the puller orders by, so a
-  // delta whose base line is broken is unreadable, not a delta.
-  if (!std::getline(in, line)) return;
-  std::istringstream base_line(line);
-  std::string tag, hex;
-  if (!(base_line >> tag >> hex) || tag != "base" || hex.size() != 16) return;
+/// Parses 16 hex digits (either case).
+std::optional<uint64_t> ParseHashHex(const std::string& hex) {
+  if (hex.size() != 16) return std::nullopt;
   uint64_t hash = 0;
   for (char c : hex) {
     const char lower = static_cast<char>(std::tolower(c));
@@ -57,15 +40,68 @@ void SniffArtifact(const std::string& path, FeedEntry* entry) {
     } else if (lower >= 'a' && lower <= 'f') {
       digit = static_cast<uint64_t>(lower - 'a' + 10);
     } else {
-      return;
+      return std::nullopt;
     }
     hash = (hash << 4) | digit;
   }
-  entry->base_hash = hash;
-  entry->kind = ArtifactKind::kDelta;
+  return hash;
+}
+
+/// Reads a `<tag> <hex>` line; the hash when the tag matches.
+std::optional<uint64_t> ReadTaggedHash(std::istream& in, const char* tag) {
+  std::string line;
+  if (!std::getline(in, line)) return std::nullopt;
+  std::istringstream fields(line);
+  std::string got, hex;
+  if (!(fields >> got >> hex) || got != tag) return std::nullopt;
+  return ParseHashHex(hex);
+}
+
+/// A v2 manifest's declared content hash: the `end` line after
+/// `sections <n>` and the n section lines. Empty when the manifest does
+/// not parse this far — the loader then reports what is wrong.
+std::optional<uint64_t> DeclaredContentHash(std::istream& in) {
+  std::string line;
+  if (!std::getline(in, line)) return std::nullopt;
+  std::istringstream count_line(line);
+  std::string tag;
+  uint64_t sections = 0;
+  if (!(count_line >> tag >> sections) || tag != "sections") {
+    return std::nullopt;
+  }
+  for (uint64_t i = 0; i < sections; ++i) {
+    if (!std::getline(in, line) || line.rfind("section ", 0) != 0) {
+      return std::nullopt;
+    }
+  }
+  return ReadTaggedHash(in, "end");
 }
 
 }  // namespace
+
+void SniffArtifact(std::istream& in, FeedEntry* entry) {
+  entry->kind = ArtifactKind::kUnreadable;
+  entry->base_hash = 0;
+  entry->content_hash.reset();
+  std::string line;
+  if (!in || !std::getline(in, line)) return;
+  if (line == kModelHeaderV1) {
+    entry->kind = ArtifactKind::kFull;
+    return;
+  }
+  if (line == io::kSnapshotHeaderV2) {
+    entry->kind = ArtifactKind::kFull;
+    entry->content_hash = DeclaredContentHash(in);
+    return;
+  }
+  if (line != io::kDeltaHeaderV2) return;
+  // Delta: the base hash is the chain link the puller orders by, so a
+  // delta whose base line is broken is unreadable, not a delta.
+  const std::optional<uint64_t> base = ReadTaggedHash(in, "base");
+  if (!base.has_value()) return;
+  entry->base_hash = *base;
+  entry->kind = ArtifactKind::kDelta;
+}
 
 void DeltaFeed::WaitForChange(double timeout_seconds) {
   std::unique_lock<std::mutex> lock(wait_mu_);
@@ -162,7 +198,8 @@ Result<std::vector<FeedEntry>> DirectoryFeed::Poll(uint64_t after_sequence) {
     entry.path = dirent.path().string();
     entry.bytes = dirent.file_size(ec);
     if (ec) entry.bytes = 0;
-    SniffArtifact(entry.path, &entry);
+    std::ifstream in(entry.path, std::ios::binary);
+    SniffArtifact(in, &entry);
     entries.push_back(std::move(entry));
   }
   std::sort(entries.begin(), entries.end(),

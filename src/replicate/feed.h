@@ -25,8 +25,10 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <istream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,8 +51,18 @@ struct FeedEntry {
   ArtifactKind kind = ArtifactKind::kUnreadable;
   std::string path;        ///< full path to the artifact
   uint64_t base_hash = 0;  ///< delta only: content hash it applies to
+  /// Full v2 only: the content hash its header's `end` line declares.
+  /// Empty for a legacy v1 snapshot, which declares none.
+  std::optional<uint64_t> content_hash;
   uint64_t bytes = 0;      ///< artifact size on disk
 };
+
+/// Sniffs an artifact's kind from its leading lines, plus a delta's
+/// base hash and a v2 full snapshot's declared content hash, into
+/// `entry`. Never fails: anything unexpected is kUnreadable. Both
+/// transports sniff through this, so DirectoryFeed and SocketFeed
+/// report the same entry for the same bytes.
+void SniffArtifact(std::istream& in, FeedEntry* entry);
 
 /// An ordered artifact feed. Poll is stateless with respect to the feed
 /// object: the caller owns its cursor and passes it back, so one feed
@@ -122,8 +134,8 @@ class DirectoryFeed final : public DeltaFeed {
 
   /// Scans the directory, skipping `.tmp` in-progress writes and any
   /// name without the `<sequence>-*.falcc` shape, and sniffs each new
-  /// artifact's kind (and, for deltas, its base hash) from the first
-  /// lines. IOError only when the directory itself cannot be listed.
+  /// artifact (SniffArtifact) from its first lines. IOError only when
+  /// the directory itself cannot be listed.
   Result<std::vector<FeedEntry>> Poll(uint64_t after_sequence) override;
 
   void WaitForChange(double timeout_seconds) override;

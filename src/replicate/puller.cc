@@ -167,6 +167,16 @@ void DeltaPuller::Advance(PullReport* report) {
     }
     switch (entry.kind) {
       case ArtifactKind::kFull: {
+        // The checkpoint subsumes exactly the deltas already applied
+        // when it declares the state we serve: consume it, load nothing.
+        const Result<uint64_t> serving = ServingHash();
+        if (entry.content_hash.has_value() && serving.ok() &&
+            serving.value() == *entry.content_hash) {
+          ++report->checkpoints_skipped;
+          ++stats_.checkpoints_skipped;
+          ConsumeThrough(entry.sequence);
+          break;
+        }
         const Status loaded = LoadFull(entry.path);
         if (loaded.ok()) {
           ++report->full_reloads;

@@ -2,7 +2,9 @@
 //
 // Tracks the engine's current ContentHash and applies feed artifacts in
 // sequence order through serve::SnapshotSource — deltas as incremental
-// hot-swaps, checkpoints as full (preferably mmapped) reloads. Bounded
+// hot-swaps, checkpoints as full (preferably mmapped) reloads — except
+// an in-order checkpoint whose declared content hash is the one already
+// being served, which is consumed without loading. Bounded
 // out-of-order arrivals wait in a buffer until the sequence gap in front
 // of them fills; a gap that persists, a delta whose base-hash chain does
 // not match the serving snapshot, or a corrupt artifact all route to the
@@ -66,6 +68,7 @@ struct PullReport {
   size_t entries_seen = 0;     ///< new artifacts entering the buffer
   size_t deltas_applied = 0;   ///< incremental hot-swaps (incl. no-ops)
   size_t full_reloads = 0;     ///< checkpoint loads taken in-order
+  size_t checkpoints_skipped = 0;  ///< in-order checkpoints already served
   size_t recoveries = 0;       ///< fallback full reloads that succeeded
   size_t quarantined = 0;      ///< artifacts quarantined this poll
   size_t chain_breaks = 0;     ///< base-hash mismatches hit this poll
@@ -79,6 +82,9 @@ struct DeltaPullerStats {
   uint64_t entries_seen = 0;
   uint64_t deltas_applied = 0;
   uint64_t full_reloads = 0;
+  /// In-order checkpoints consumed without loading because their
+  /// declared content hash equals the serving one.
+  uint64_t checkpoints_skipped = 0;
   uint64_t recoveries = 0;
   uint64_t quarantined = 0;
   uint64_t chain_breaks = 0;

@@ -307,6 +307,16 @@ std::optional<WireFrame> RecvFrame(int fd, FrameDecoder* decoder,
   return std::nullopt;
 }
 
+/// Read-only istream buffer over bytes it does not own (sniffing a
+/// frame payload without copying it).
+class ViewBuffer : public std::streambuf {
+ public:
+  explicit ViewBuffer(std::string_view bytes) {
+    char* begin = const_cast<char*>(bytes.data());
+    setg(begin, begin, begin + bytes.size());
+  }
+};
+
 bool ReadFileBytes(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
@@ -327,11 +337,18 @@ bool IsSocketEndpoint(const std::string& spec) {
 // SocketPublisher
 
 struct SocketPublisher::Subscriber {
+  /// A queued artifact; the payload is shared by every subscriber, and
+  /// null for gateway forwards, which read the file when sent.
+  struct Outgoing {
+    FeedEntry entry;
+    std::shared_ptr<const std::string> payload;
+  };
+
   int fd = -1;
   std::thread thread;
   std::mutex mu;
   std::condition_variable cv;
-  std::deque<FeedEntry> queue;
+  std::deque<Outgoing> queue;
   bool dropped = false;  ///< queue overflowed; re-plan from the directory
   bool done = false;
   /// Highest sequence sent on this connection (sender thread only).
@@ -370,6 +387,10 @@ SocketPublisher::SocketPublisher(SocketPublisherOptions options,
                           : 0) {
   next_sequence_hint_.store(publisher_->next_sequence(),
                             std::memory_order_relaxed);
+  publisher_->SetArtifactSink(
+      [this](const FeedEntry& entry, std::shared_ptr<const std::string> bytes) {
+        Push(entry, std::move(bytes));
+      });
 }
 
 SocketPublisher::~SocketPublisher() { Close(); }
@@ -398,17 +419,20 @@ void SocketPublisher::Close() {
 Result<PublishReport> SocketPublisher::PublishDelta(
     const FalccModel& next, std::span<const size_t> clusters,
     uint64_t base_hash) {
-  Result<PublishReport> report =
-      publisher_->PublishDelta(next, clusters, base_hash);
-  if (report.ok()) BroadcastNew();
-  return report;
+  return publisher_->PublishDelta(next, clusters, base_hash);
 }
 
 Result<PublishReport> SocketPublisher::PublishCheckpoint(
     const FalccModel& model) {
-  Result<PublishReport> report = publisher_->PublishCheckpoint(model);
-  if (report.ok()) BroadcastNew();
-  return report;
+  return publisher_->PublishCheckpoint(model);
+}
+
+void SocketPublisher::Push(const FeedEntry& entry,
+                           std::shared_ptr<const std::string> payload) {
+  Broadcast(entry, std::move(payload));
+  std::lock_guard<std::mutex> lock(mu_);
+  forward_cursor_ = std::max(forward_cursor_, entry.sequence);
+  next_sequence_hint_.store(forward_cursor_ + 1, std::memory_order_relaxed);
 }
 
 Result<size_t> SocketPublisher::ForwardNewArtifacts() {
@@ -429,7 +453,7 @@ size_t SocketPublisher::BroadcastNew() {
     // leave routes subscribers into checkpoint recovery, the same
     // fallback a directory consumer reaches via quarantine.
     if (entry.kind == ArtifactKind::kUnreadable) continue;
-    Broadcast(entry);
+    Broadcast(entry, nullptr);
     ++pushed;
   }
   {
@@ -440,7 +464,8 @@ size_t SocketPublisher::BroadcastNew() {
   return pushed;
 }
 
-void SocketPublisher::Broadcast(const FeedEntry& entry) {
+void SocketPublisher::Broadcast(const FeedEntry& entry,
+                                std::shared_ptr<const std::string> payload) {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& subscriber : subscribers_) {
     if (subscriber->done) continue;
@@ -453,7 +478,7 @@ void SocketPublisher::Broadcast(const FeedEntry& entry) {
         subscriber->queue.clear();
         subscriber->dropped = true;
       }
-      subscriber->queue.push_back(entry);
+      subscriber->queue.push_back({entry, payload});
     }
     subscriber->cv.notify_all();
   }
@@ -501,21 +526,23 @@ bool SocketPublisher::SendBytes(Subscriber* subscriber,
   return false;
 }
 
-bool SocketPublisher::SendEntry(Subscriber* subscriber, const FeedEntry& entry,
-                                bool catchup) {
-  std::string payload;
-  if (!ReadFileBytes(entry.path, &payload) || payload.empty()) {
+bool SocketPublisher::SendEntry(
+    Subscriber* subscriber, const FeedEntry& entry,
+    const std::shared_ptr<const std::string>& payload, bool catchup) {
+  WireFrame frame;
+  if (payload != nullptr) {
+    frame.payload = *payload;
+  } else if (!ReadFileBytes(entry.path, &frame.payload) ||
+             frame.payload.empty()) {
     // GC won the race. Skipping leaves a sequence gap; the next
     // checkpoint in the replay (GC always retains one) heals it, and
     // the replica's gap fallback covers the remainder.
     return true;
   }
-  WireFrame frame;
   frame.type = FrameType::kArtifact;
   frame.kind = entry.kind;
   frame.sequence = entry.sequence;
   frame.base_hash = entry.kind == ArtifactKind::kDelta ? entry.base_hash : 0;
-  frame.payload = std::move(payload);
   if (!SendBytes(subscriber, EncodeFrame(frame))) return false;
   subscriber->cursor = entry.sequence;
   std::lock_guard<std::mutex> lock(mu_);
@@ -555,7 +582,7 @@ bool SocketPublisher::Replay(Subscriber* subscriber, uint64_t after_sequence,
     const FeedEntry& entry = entries[i];
     if (entry.sequence <= subscriber->cursor) continue;
     if (entry.kind == ArtifactKind::kUnreadable) continue;
-    if (!SendEntry(subscriber, entry, catchup)) return false;
+    if (!SendEntry(subscriber, entry, nullptr, catchup)) return false;
   }
   return true;
 }
@@ -579,7 +606,7 @@ void SocketPublisher::ServeSubscriber(std::shared_ptr<Subscriber> subscriber) {
                    /*catchup=*/true);
   }
   while (alive && !stop_.load(std::memory_order_relaxed)) {
-    FeedEntry entry;
+    Subscriber::Outgoing next;
     bool have = false;
     bool dropped = false;
     bool idle = false;
@@ -596,7 +623,7 @@ void SocketPublisher::ServeSubscriber(std::shared_ptr<Subscriber> subscriber) {
         subscriber->queue.clear();
         dropped = true;
       } else if (!subscriber->queue.empty()) {
-        entry = subscriber->queue.front();
+        next = std::move(subscriber->queue.front());
         subscriber->queue.pop_front();
         have = true;
       } else {
@@ -608,8 +635,10 @@ void SocketPublisher::ServeSubscriber(std::shared_ptr<Subscriber> subscriber) {
       continue;
     }
     if (have) {
-      if (entry.sequence <= subscriber->cursor) continue;  // replayed already
-      alive = SendEntry(subscriber.get(), entry, /*catchup=*/false);
+      // Already sent by the catch-up replay.
+      if (next.entry.sequence <= subscriber->cursor) continue;
+      alive = SendEntry(subscriber.get(), next.entry, next.payload,
+                        /*catchup=*/false);
       continue;
     }
     if (idle) {
@@ -731,9 +760,19 @@ void SocketFeed::SpoolFrame(const WireFrame& frame) {
       return;
     }
   }
+  // The wire carries no content hash: sniff the one a full snapshot
+  // declares from its payload, as a DirectoryFeed would from the file.
+  FeedEntry sniffed;
+  if (frame.kind == ArtifactKind::kFull) {
+    ViewBuffer view(frame.payload);
+    std::istream in(&view);
+    SniffArtifact(in, &sniffed);
+  }
   const std::string stem =
       frame.kind == ArtifactKind::kDelta
           ? "delta-" + io::HashHex(frame.base_hash) + ".falcc"
+      : sniffed.content_hash.has_value()
+          ? "checkpoint-" + io::HashHex(*sniffed.content_hash) + ".falcc"
           : "checkpoint.falcc";
   const std::filesystem::path path =
       std::filesystem::path(spool_dir_) / SequencedName(frame.sequence, stem);
@@ -755,6 +794,7 @@ void SocketFeed::SpoolFrame(const WireFrame& frame) {
   entry.path = path.string();
   entry.base_hash =
       frame.kind == ArtifactKind::kDelta ? frame.base_hash : 0;
+  entry.content_hash = sniffed.content_hash;
   entry.bytes = frame.payload.size();
   {
     std::lock_guard<std::mutex> lock(mu_);

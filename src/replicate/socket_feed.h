@@ -11,7 +11,10 @@
 //
 // SocketPublisher wraps a DeltaPublisher: every artifact is still
 // written to the feed directory first (the durable store and the
-// catch-up source), then pushed to every subscriber. Each subscriber
+// catch-up source), then pushed to every subscriber the moment it is
+// renamed into place — in sequence order, with its bytes in hand, so
+// the GC a checkpoint triggers can never remove a delta before it has
+// been pushed. Each subscriber
 // has a bounded send queue serviced by its own sender thread; when a
 // slow subscriber falls more than `max_queue` artifacts behind, the
 // queue is dropped and the sender re-plans from the directory, jumping
@@ -89,9 +92,10 @@ struct SocketPublisherStats {
   uint64_t send_errors = 0;         ///< connections lost mid-send
 };
 
-/// The push side. Publish calls are single-threaded by contract, like
-/// DeltaPublisher's (the monitor's Poll loop is the only publisher);
-/// the accept/sender threads only read the directory.
+/// The push side. Publish calls may come from any thread: the wrapped
+/// DeltaPublisher serializes them and hands each artifact to the push
+/// path under its lock. The accept/sender threads only read the
+/// directory and the queued artifacts.
 class SocketPublisher {
  public:
   static Result<std::unique_ptr<SocketPublisher>> Open(
@@ -108,12 +112,16 @@ class SocketPublisher {
   /// The resolved listen endpoint (tcp port filled in).
   const std::string& endpoint() const { return endpoint_; }
 
-  /// Publishes through the wrapped DeltaPublisher, then pushes whatever
-  /// it wrote (delta, cadence checkpoint) to every subscriber.
+  /// Publishes through the wrapped DeltaPublisher; every artifact it
+  /// writes (delta, cadence checkpoint) is pushed as it lands.
   Result<PublishReport> PublishDelta(const FalccModel& next,
                                      std::span<const size_t> clusters,
                                      uint64_t base_hash);
   Result<PublishReport> PublishCheckpoint(const FalccModel& model);
+
+  /// The wrapped publisher. Its two-step cadence (AppendDelta,
+  /// CheckpointHead) pushes exactly like the calls above.
+  DeltaPublisher& publisher() { return *publisher_; }
 
   uint64_t next_sequence() const { return publisher_->next_sequence(); }
 
@@ -138,10 +146,15 @@ class SocketPublisher {
   /// subscriber's cursor, jumping to the newest checkpoint if one
   /// supersedes part of it. Returns false when the connection died.
   bool Replay(Subscriber* subscriber, uint64_t after_sequence, bool catchup);
+  /// Sends one artifact: `payload` when given, else the file's bytes.
   bool SendEntry(Subscriber* subscriber, const FeedEntry& entry,
+                 const std::shared_ptr<const std::string>& payload,
                  bool catchup);
   bool SendBytes(Subscriber* subscriber, const std::string& bytes);
-  void Broadcast(const FeedEntry& entry);
+  /// The wrapped publisher's sink: broadcast and advance the cursor.
+  void Push(const FeedEntry& entry, std::shared_ptr<const std::string> payload);
+  void Broadcast(const FeedEntry& entry,
+                 std::shared_ptr<const std::string> payload);
   size_t BroadcastNew();  ///< forward cursor → broadcast; returns count
 
   SocketPublisherOptions options_;

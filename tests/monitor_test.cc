@@ -5,13 +5,19 @@
 #include "monitor/monitor.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +32,9 @@
 #include "monitor/drift_detector.h"
 #include "monitor/refresher.h"
 #include "monitor/window_stats.h"
+#include "replicate/feed.h"
+#include "replicate/publisher.h"
+#include "replicate/puller.h"
 #include "serve/engine.h"
 #include "serve/sharded_engine.h"
 
@@ -865,6 +874,252 @@ TEST(MonitorConcurrencyTest, LoggingFeedbackPollAndHotSwapRace) {
   EXPECT_EQ(stats.appended, 40u * 16u + 200u);
   EXPECT_GT(stats.labeled, 0u);
   EXPECT_EQ(engine.GetMetrics().observed, stats.appended);
+}
+
+// --- Background cadence checkpoints -----------------------------------
+
+/// `serving`'s decisions on `cluster` over `pool`, every label flipped:
+/// the serving combination gets all of them wrong, so most candidates
+/// improve on it.
+ClusterWindow FlippedWindow(const FalccModel& serving,
+                            const std::vector<double>& pool, size_t width,
+                            size_t cluster) {
+  const ClassifyResponse response =
+      serving.ClassifyBatch({pool, width}).value();
+  ClusterWindow window;
+  for (size_t i = 0; i < response.decisions.size(); ++i) {
+    const SampleDecision& d = response.decisions[i];
+    if (d.cluster != cluster) continue;
+    window.features.insert(window.features.end(), pool.begin() + i * width,
+                           pool.begin() + (i + 1) * width);
+    window.labels.push_back(1 - d.label);
+    window.predictions.push_back(d.label);
+    window.groups.push_back(d.group);
+  }
+  return window;
+}
+
+uint64_t SequenceOf(const std::string& path) {
+  return replicate::ParseSequence(
+             std::filesystem::path(path).filename().string())
+      .value();
+}
+
+/// Checks the sequencing invariant on every checkpoint in `dir`: the one
+/// at sequence n holds exactly the state after every delta below n.
+/// `heads` maps each delta's sequence to the content hash after it (0 →
+/// the state before the first delta). Returns the checkpoints checked.
+size_t CheckCheckpoints(const std::string& dir,
+                        const std::map<uint64_t, uint64_t>& heads) {
+  size_t checked = 0;
+  replicate::DirectoryFeed feed(dir, /*wake_on_events=*/false);
+  const std::vector<replicate::FeedEntry> entries = feed.Poll(0).value();
+  for (const replicate::FeedEntry& entry : entries) {
+    if (entry.kind != replicate::ArtifactKind::kFull) continue;
+    std::ifstream in(entry.path, std::ios::binary);
+    if (!in) continue;  // garbage-collected since the scan
+    const Result<FalccModel> model = FalccModel::Load(&in);
+    EXPECT_TRUE(model.ok()) << entry.path;
+    if (!model.ok()) continue;
+    const uint64_t expected =
+        std::prev(heads.lower_bound(entry.sequence))->second;
+    EXPECT_EQ(model.value().ContentHash().value(), expected) << entry.path;
+    EXPECT_EQ(entry.content_hash, std::optional<uint64_t>(expected))
+        << entry.path;
+    ++checked;
+  }
+  return checked;
+}
+
+void ExpectNoTempFiles(const std::string& dir) {
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    EXPECT_NE(file.path().extension(), ".tmp") << file.path();
+  }
+}
+
+/// A fresh directory under the test temp dir, private to this process so
+/// concurrent runs of the binary never share a feed.
+std::string FreshDir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      (name + "-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
+
+// Back-to-back refreshes with a checkpoint due after every delta: the
+// background writer's checkpoints are superseded and coalesced, yet
+// every one that lands holds exactly the state below its sequence, and
+// a late joiner replaying the retained feed converges on the primary.
+TEST(RefresherCheckpointTest, BackgroundCheckpointsKeepTheSequencingInvariant) {
+  const TrainValTest s = MakeSplits();
+  serve::FalccEngine engine;
+  engine.Install(
+      FalccModel::Train(s.train, s.validation, FastOptions()).value());
+  const std::vector<double> pool = Flatten(s.test);
+  const size_t width = s.test.num_features();
+  const size_t num_clusters = engine.snapshot()->num_clusters();
+
+  const std::string dir = FreshDir("monitor_checkpoints");
+  monitor::RefresherOptions options;
+  options.delta_dir = dir;
+  options.checkpoint_every = 1;
+  std::map<uint64_t, uint64_t> heads = {
+      {0, engine.snapshot()->ContentHash().value()}};
+  size_t installed = 0;
+  size_t checked = 0;
+  {
+    monitor::Refresher refresher(&engine, options);
+    for (size_t iter = 0; iter < 48; ++iter) {
+      const size_t cluster = iter % num_clusters;
+      const ClusterWindow window =
+          FlippedWindow(*engine.snapshot(), pool, width, cluster);
+      if (window.labels.empty()) continue;
+      const RefreshOutcome outcome =
+          refresher.RefreshCluster(window, cluster).value();
+      if (!outcome.installed) continue;
+      ++installed;
+      ASSERT_FALSE(outcome.delta_path.empty());
+      heads[SequenceOf(outcome.delta_path)] =
+          engine.snapshot()->ContentHash().value();
+      checked += CheckCheckpoints(dir, heads);
+    }
+    ASSERT_GE(installed, 8u);
+
+    // No newer delta follows the last refresh, so its checkpoint is the
+    // head's and commits (the writer counts it just after the rename).
+    replicate::DirectoryFeed feed(dir, /*wake_on_events=*/false);
+    const auto committed = [&] {
+      return feed.Poll(0).value().back().kind ==
+                 replicate::ArtifactKind::kFull &&
+             refresher.Stats().checkpoints_published > 0;
+    };
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (std::chrono::steady_clock::now() < deadline && !committed()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ASSERT_TRUE(committed());
+    checked += CheckCheckpoints(dir, heads);
+    const monitor::RefresherStats stats = refresher.Stats();
+    EXPECT_EQ(stats.delta_published, installed);
+    EXPECT_LE(stats.checkpoints_published, installed);
+  }
+  EXPECT_GE(checked, 1u);
+  ExpectNoTempFiles(dir);
+
+  // A fresh late joiner replays the retained feed from 0 and decides
+  // exactly as the primary does.
+  serve::FalccEngine replica;
+  replicate::DeltaPuller puller(
+      &replica, std::make_unique<replicate::DirectoryFeed>(dir));
+  puller.PollOnce();
+  ASSERT_EQ(puller.ServingHash().value(),
+            engine.snapshot()->ContentHash().value());
+  const ClassifyRequest request{pool, width};
+  const ClassifyResponse primary = engine.ClassifyBatch(request).value();
+  const ClassifyResponse follower = replica.ClassifyBatch(request).value();
+  ASSERT_EQ(follower.decisions.size(), primary.decisions.size());
+  for (size_t i = 0; i < primary.decisions.size(); ++i) {
+    const SampleDecision& p = primary.decisions[i];
+    const SampleDecision& r = follower.decisions[i];
+    ASSERT_TRUE(p.label == r.label && p.probability == r.probability &&
+                p.cluster == r.cluster && p.group == r.group &&
+                p.model == r.model)
+        << "sample " << i;
+  }
+}
+
+// Destroying the monitor straight after a cadence refresh joins the
+// checkpoint writer. Either the checkpoint landed (and holds the head),
+// or the feed still counts the cadence as due, so a reopened publisher
+// writes it with the next delta.
+TEST(RefresherCheckpointTest, DestroyingTheMonitorJoinsTheCheckpointWriter) {
+  const TrainValTest s = MakeSplits();
+  serve::FalccEngine engine;
+  engine.Install(
+      FalccModel::Train(s.train, s.validation, FastOptions()).value());
+  const std::vector<double> pool = Flatten(s.test);
+  const size_t width = s.test.num_features();
+  const size_t num_rows = s.test.num_rows();
+
+  const std::string dir = FreshDir("monitor_checkpoint_shutdown");
+  MonitorOptions options;
+  options.log_capacity = 1 << 12;
+  options.window = 64;
+  options.detector.threshold = 0.2;
+  options.detector.slack = 0.0;
+  options.detector.min_samples = 8;
+  options.delta_dir = dir;
+  options.checkpoint_every = 1;
+  std::unique_ptr<FairnessMonitor> monitor =
+      FairnessMonitor::Attach(&engine, options).value();
+
+  // Feed back the opposite of every decision until a poll installs a
+  // refresh, then destroy the monitor at once.
+  size_t installed = 0;
+  for (size_t round = 0; round < 200 && installed == 0; ++round) {
+    const size_t start = (round * 64) % (num_rows - 64);
+    const uint64_t base = monitor->log().next_id();
+    const ClassifyResponse response =
+        engine
+            .ClassifyBatch({std::span<const double>(pool.data() + start * width,
+                                                    64 * width),
+                            width})
+            .value();
+    for (size_t i = 0; i < response.decisions.size(); ++i) {
+      ASSERT_TRUE(
+          monitor->AddFeedback(base + i, 1 - response.decisions[i].label));
+    }
+    const MonitorPollResult poll = monitor->Poll().value();
+    for (const RefreshOutcome& outcome : poll.refreshes) {
+      installed += outcome.installed ? 1 : 0;
+    }
+  }
+  ASSERT_GE(installed, 1u);
+  monitor.reset();
+  ExpectNoTempFiles(dir);
+
+  const std::shared_ptr<const FalccModel> head = engine.snapshot();
+  const uint64_t head_hash = head->ContentHash().value();
+  replicate::DirectoryFeed feed(dir, /*wake_on_events=*/false);
+  const std::vector<replicate::FeedEntry> entries = feed.Poll(0).value();
+  ASSERT_FALSE(entries.empty());
+  if (entries.back().kind == replicate::ArtifactKind::kFull) {
+    EXPECT_EQ(entries.back().content_hash, std::optional<uint64_t>(head_hash));
+    return;
+  }
+  // The checkpoint was not written: the deltas behind the newest
+  // checkpoint still count, so with a cadence of one more than their
+  // number, the next delta is due.
+  size_t trailing = 0;
+  for (auto it = entries.rbegin();
+       it != entries.rend() && it->kind == replicate::ArtifactKind::kDelta;
+       ++it) {
+    ++trailing;
+  }
+  replicate::DeltaPublisherOptions publisher_options;
+  publisher_options.dir = dir;
+  publisher_options.checkpoint_every = trailing + 1;
+  replicate::DeltaPublisher reopened =
+      replicate::DeltaPublisher::Open(publisher_options).value();
+  ModelCombination combo = head->selected_combinations()[0];
+  combo[0] = (combo[0] + 1) % head->pool().size();
+  ClusterRefresh refresh;
+  refresh.cluster = 0;
+  refresh.combination = combo;
+  refresh.baseline_loss = 0.25;
+  const FalccModel next = head->CloneWithRefreshes({&refresh, 1}).value();
+  const size_t clusters[] = {0};
+  const replicate::PublishReport appended =
+      reopened.AppendDelta(next, clusters, head_hash).value();
+  EXPECT_TRUE(appended.checkpoint_due);
+  const replicate::PublishReport checkpoint =
+      reopened.CheckpointHead(next).value();
+  ASSERT_EQ(checkpoint.artifacts.size(), 1u);
+  EXPECT_EQ(feed.Poll(0).value().back().content_hash,
+            std::optional<uint64_t>(next.ContentHash().value()));
 }
 
 }  // namespace

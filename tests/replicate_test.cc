@@ -27,6 +27,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -1655,6 +1656,279 @@ TEST(PullerConcurrencyTest, SocketPullWhileClassifyRace) {
   EXPECT_EQ(puller.ServingHash().value(), target);
   EXPECT_EQ(puller.Stats().deltas_applied, 5u);
   publisher->Close();
+}
+
+// --- Cadence checkpoints over a socket, and the replica skip -----------
+
+/// Polls `puller` until `done(stats)` holds or 30 s pass; true once it
+/// holds.
+bool PollUntil(DeltaPuller* puller,
+               const std::function<bool(const DeltaPullerStats&)>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < deadline) {
+    puller->PollOnce();
+    if (done(puller->Stats())) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return false;
+}
+
+/// Polls `puller` until it has consumed `sequence`.
+bool PollThrough(DeltaPuller* puller, uint64_t sequence) {
+  return PollUntil(puller, [sequence](const DeltaPullerStats& stats) {
+    return stats.last_sequence >= sequence;
+  });
+}
+
+// With a checkpoint after every 2nd delta and one retained checkpoint,
+// GC removes each delta as soon as its checkpoint lands. Every delta
+// must still reach subscribers: it is pushed when it is written, before
+// that GC, so a replica that follows the feed converges on deltas alone
+// and never reloads a checkpoint.
+TEST(SocketCadenceTest, CadencePublishShipsEveryDelta) {
+  const std::string dir = FreshDir("replicate_sock_cadence");
+  const std::string path = SocketPath("sock_cadence.sock");
+  SocketPublisherOptions po;
+  po.listen = "unix://" + path;
+  po.publisher.dir = dir;
+  po.publisher.checkpoint_every = 2;
+  po.heartbeat_interval_seconds = 0.05;
+  std::unique_ptr<SocketPublisher> publisher =
+      SocketPublisher::Open(po).value();
+  FalccModel head = FreshModel();
+  const uint64_t first =
+      publisher->PublishCheckpoint(head).value().artifacts[0].sequence;
+
+  // A raw subscriber that records every frame it is sent. Its catch-up
+  // (the checkpoint) is in before anything else is published.
+  const int fd = ConnectUnixSocket(path);
+  SendRaw(fd, EncodeFrame(SubscribeFrame(0)));
+  FrameDecoder decoder;
+  std::vector<WireFrame> frames = RecvFrames(fd, &decoder, 2, 10.0);
+  ASSERT_EQ(frames.size(), 2u);
+  ASSERT_EQ(frames[0].type, FrameType::kHello);
+  ASSERT_EQ(frames[1].sequence, first);
+
+  // A replica already serving `head`, following through a real feed.
+  serve::FalccEngine engine;
+  engine.Install(FreshModel());
+  SocketFeedOptions feed_options;
+  feed_options.reconnect_initial_seconds = 0.01;
+  feed_options.reconnect_max_seconds = 0.05;
+  DeltaPuller puller(
+      &engine,
+      SocketFeed::Connect(publisher->endpoint(), feed_options).value(),
+      FastPuller());
+  ASSERT_TRUE(PollThrough(&puller, first));
+
+  constexpr size_t kDeltas = 6;
+  std::vector<uint64_t> delta_sequences;
+  uint64_t last = first;
+  for (size_t event = 0; event < kDeltas; ++event) {
+    FalccModel next = NextVersion(head, event % head.num_clusters());
+    const size_t clusters[] = {event % head.num_clusters()};
+    const PublishReport report =
+        publisher->PublishDelta(next, clusters, HashOf(head)).value();
+    ASSERT_EQ(report.artifacts[0].kind, ArtifactKind::kDelta);
+    delta_sequences.push_back(report.artifacts[0].sequence);
+    last = report.artifacts.back().sequence;
+    head = std::move(next);
+  }
+  ASSERT_EQ(last, first + kDeltas + kDeltas / 2);  // cadence checkpoints
+
+  // Every delta sequence went out as an ARTIFACT frame (heartbeats may
+  // interleave; the last checkpoint ends the stream).
+  std::vector<uint64_t> pushed_deltas;
+  bool ended = false;
+  while (!ended) {
+    const std::vector<WireFrame> got = RecvFrames(fd, &decoder, 1, 10.0);
+    if (got.empty()) break;
+    for (const WireFrame& frame : got) {
+      if (frame.type != FrameType::kArtifact) continue;
+      if (frame.kind == ArtifactKind::kDelta) {
+        pushed_deltas.push_back(frame.sequence);
+      }
+      ended = ended || frame.sequence == last;
+    }
+  }
+  EXPECT_TRUE(ended);
+  EXPECT_EQ(pushed_deltas, delta_sequences);
+
+  // The replica applied all of them and loaded no checkpoint: each
+  // cadence checkpoint declared the state it already served.
+  ASSERT_TRUE(PollThrough(&puller, last));
+  EXPECT_EQ(puller.ServingHash().value(), HashOf(head));
+  const DeltaPullerStats stats = puller.Stats();
+  EXPECT_EQ(stats.deltas_applied, kDeltas);
+  EXPECT_EQ(stats.full_reloads, 0u);
+  EXPECT_EQ(stats.checkpoints_skipped, 1 + kDeltas / 2);
+  EXPECT_EQ(stats.quarantined, 0u);
+  ::close(fd);
+  publisher->Close();
+}
+
+/// One artifact of a scripted feed.
+struct ScriptedArtifact {
+  ArtifactKind kind = ArtifactKind::kFull;
+  std::string bytes;
+  uint64_t base_hash = 0;  ///< deltas only
+};
+
+/// Serves `artifacts` (sequences 1..n) to a puller through one of the
+/// two transports: as files in a fresh directory, or as ARTIFACT frames
+/// from a scripted socket publisher. The puller reads both the same way.
+class ScriptedTransport {
+ public:
+  ScriptedTransport(bool socket, const std::string& name,
+                    std::vector<ScriptedArtifact> artifacts)
+      : artifacts_(std::move(artifacts)) {
+    if (!socket) {
+      dir_ = FreshDir(name);
+      for (size_t i = 0; i < artifacts_.size(); ++i) {
+        const ScriptedArtifact& a = artifacts_[i];
+        WriteFile(dir_ + "/" +
+                      SequencedName(i + 1, a.kind == ArtifactKind::kDelta
+                                               ? "delta.falcc"
+                                               : "checkpoint.falcc"),
+                  a.bytes);
+      }
+      return;
+    }
+    std::string stream = EncodeFrame(HelloFrame(artifacts_.size() + 1));
+    for (size_t i = 0; i < artifacts_.size(); ++i) {
+      const ScriptedArtifact& a = artifacts_[i];
+      stream += EncodeFrame(ArtifactFrame(i + 1, a.kind, a.bytes, a.base_hash));
+    }
+    server_ = std::make_unique<ScriptedServer>(
+        SocketPath(name + ".sock"),
+        [stream](ScriptedServer*, int fd, size_t) { SendRaw(fd, stream); });
+  }
+
+  std::unique_ptr<replicate::DeltaFeed> Feed() const {
+    if (server_ == nullptr) return std::make_unique<DirectoryFeed>(dir_);
+    SocketFeedOptions options;
+    options.reconnect_initial_seconds = 0.005;
+    options.reconnect_max_seconds = 0.02;
+    return SocketFeed::Connect(server_->endpoint(), options).value();
+  }
+
+  uint64_t last_sequence() const { return artifacts_.size(); }
+
+ private:
+  std::vector<ScriptedArtifact> artifacts_;
+  std::string dir_;
+  std::unique_ptr<ScriptedServer> server_;
+};
+
+std::string LegacyCheckpointBytes() {
+  return ReadAllBytes(std::string(FALCC_CORPUS_DIR) +
+                      "/snapshot/valid-legacy.txt");
+}
+
+void CheckReplicaSkip(bool socket) {
+  const std::string tag = socket ? "socket" : "dir";
+  const FalccModel v0 = FreshModel();
+  const FalccModel v1 = NextVersion(v0, 0);
+  const FalccModel v2 = NextVersion(v1, 1);
+  const uint64_t h0 = HashOf(v0);
+
+  // The directory sniff reads the hash a v2 checkpoint declares, and a
+  // v1 checkpoint declares none.
+  if (!socket) {
+    const ScriptedTransport declared(
+        false, "replicate_skip_sniff",
+        {{ArtifactKind::kFull, SaveBytes(v0)},
+         {ArtifactKind::kFull, LegacyCheckpointBytes()}});
+    const std::vector<FeedEntry> entries = declared.Feed()->Poll(0).value();
+    ASSERT_EQ(entries.size(), 2u);
+    EXPECT_EQ(entries[0].content_hash, std::optional<uint64_t>(h0));
+    EXPECT_EQ(entries[1].kind, ArtifactKind::kFull);
+    EXPECT_FALSE(entries[1].content_hash.has_value());
+  }
+
+  {
+    // A checkpoint of the served state is consumed without a load.
+    const ScriptedTransport feed(socket, "replicate_skip_served_" + tag,
+                                 {{ArtifactKind::kFull, SaveBytes(v0)}});
+    serve::FalccEngine engine;
+    engine.Install(FreshModel());
+    const uint64_t version = engine.snapshot_version();
+    DeltaPuller puller(&engine, feed.Feed(), FastPuller());
+    ASSERT_TRUE(PollThrough(&puller, feed.last_sequence())) << tag;
+    EXPECT_EQ(puller.Stats().checkpoints_skipped, 1u) << tag;
+    EXPECT_EQ(puller.Stats().full_reloads, 0u) << tag;
+    EXPECT_EQ(engine.snapshot_version(), version) << tag;
+    EXPECT_EQ(puller.ServingHash().value(), h0) << tag;
+  }
+  {
+    // Behind a delta, the checkpoint of the post-delta state is skipped
+    // too; a checkpoint of another state still loads.
+    const ScriptedTransport feed(
+        socket, "replicate_skip_chain_" + tag,
+        {{ArtifactKind::kFull, SaveBytes(v0)},
+         {ArtifactKind::kDelta, DeltaBytes(v1, 0, h0), h0},
+         {ArtifactKind::kFull, SaveBytes(v1)},
+         {ArtifactKind::kFull, SaveBytes(v2)}});
+    serve::FalccEngine engine;
+    engine.Install(FreshModel());
+    const uint64_t version = engine.snapshot_version();
+    DeltaPuller puller(&engine, feed.Feed(), FastPuller());
+    ASSERT_TRUE(PollThrough(&puller, feed.last_sequence())) << tag;
+    const DeltaPullerStats stats = puller.Stats();
+    EXPECT_EQ(stats.checkpoints_skipped, 2u) << tag;
+    EXPECT_EQ(stats.deltas_applied, 1u) << tag;
+    EXPECT_EQ(stats.full_reloads, 1u) << tag;
+    EXPECT_EQ(stats.quarantined, 0u) << tag;
+    EXPECT_EQ(engine.snapshot_version(), version + 2) << tag;
+    EXPECT_EQ(puller.ServingHash().value(), HashOf(v2)) << tag;
+  }
+  {
+    // A corrupt checkpoint is still quarantined (its manifest declares
+    // a state we do not serve, so it is loaded, and the load fails), and
+    // the replica recovers onto the newest loadable one.
+    const std::string full1 = SaveBytes(v1);
+    const ScriptedTransport feed(
+        socket, "replicate_skip_corrupt_" + tag,
+        {{ArtifactKind::kFull, SaveBytes(v0)},
+         {ArtifactKind::kFull, full1.substr(0, full1.size() * 3 / 4)}});
+    serve::FalccEngine engine;
+    engine.Install(FreshModel());
+    DeltaPuller puller(&engine, feed.Feed(), FastPuller());
+    ASSERT_TRUE(PollUntil(&puller, [](const DeltaPullerStats& stats) {
+      return stats.quarantined > 0 && !stats.recovery_pending;
+    })) << tag;
+    const DeltaPullerStats stats = puller.Stats();
+    EXPECT_EQ(stats.quarantined, 1u) << tag;
+    EXPECT_EQ(stats.checkpoints_skipped, 1u) << tag;
+    EXPECT_EQ(stats.recoveries, 1u) << tag;
+    EXPECT_EQ(puller.ServingHash().value(), h0) << tag;
+    EXPECT_TRUE(engine.snapshot() != nullptr) << tag;
+  }
+  {
+    // A v1 checkpoint declares no hash, so it loads even when it holds
+    // the served state.
+    const std::string legacy = LegacyCheckpointBytes();
+    const ScriptedTransport feed(socket, "replicate_skip_legacy_" + tag,
+                                 {{ArtifactKind::kFull, legacy}});
+    serve::FalccEngine engine;
+    std::istringstream in(legacy);
+    engine.Install(FalccModel::Load(&in).value());
+    const uint64_t version = engine.snapshot_version();
+    DeltaPuller puller(&engine, feed.Feed(), FastPuller());
+    ASSERT_TRUE(PollThrough(&puller, feed.last_sequence())) << tag;
+    EXPECT_EQ(puller.Stats().full_reloads, 1u) << tag;
+    EXPECT_EQ(puller.Stats().checkpoints_skipped, 0u) << tag;
+    EXPECT_EQ(engine.snapshot_version(), version + 1) << tag;
+  }
+}
+
+TEST(PullerSkipTest, ServedCheckpointIsSkippedOverADirectoryFeed) {
+  CheckReplicaSkip(/*socket=*/false);
+}
+
+TEST(PullerSkipTest, ServedCheckpointIsSkippedOverASocketFeed) {
+  CheckReplicaSkip(/*socket=*/true);
 }
 
 }  // namespace

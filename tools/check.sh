@@ -21,9 +21,11 @@
 #      bench_replicate --smoke --transport=socket run gating the
 #      socket-push transport alone: a 4-replica fleet following a
 #      unix-socket SocketPublisher feed must converge on every event
-#      with decisions bit-identical to the primary's, plus a stress pass
-#      that repeats the serving tests (`ctest -L serve`) until one fails,
-#      up to 10 times, so an intermittent race there fails the check,
+#      with decisions bit-identical to the primary's, plus stress passes
+#      that repeat the serving tests (`ctest -L serve`) and the monitoring
+#      tests (`ctest -L monitor`, whose Refresher owns a background
+#      checkpoint writer) until one fails, up to 10 times each, so an
+#      intermittent race there fails the check,
 #   2. ThreadSanitizer build run with FALCC_THREADS=4 so data races in the
 #      parallel runtime, the snapshot store's hot-swap and observer
 #      fan-in paths
@@ -32,7 +34,8 @@
 #      submit rings, wakeup protocol, and shutdown drain under concurrent
 #      submits racing hot-swaps (tests/sharded_engine_test.cc), and the
 #      drift monitor's lock-free decision log under concurrent logging +
-#      feedback + refresh (tests/serve_engine_test.cc,
+#      feedback + refresh and the refresher's background checkpoint
+#      writer racing new deltas (tests/serve_engine_test.cc,
 #      tests/monitor_test.cc; `ctest -L serve` / `ctest -L monitor`), and
 #      the replication puller's background pull-while-classify hot-swap
 #      race (tests/replicate_test.cc; `ctest -L replicate`) fail loudly
@@ -97,6 +100,8 @@ if [[ "$run_plain" == 1 ]]; then
     --out=build/BENCH_replicate_socket_smoke.json
   echo "=== check 1/3 (cont.): serving stress (ctest -L serve, 10 repeats) ==="
   ctest --test-dir build -L serve --repeat until-fail:10 --output-on-failure
+  echo "=== check 1/3 (cont.): monitoring stress (ctest -L monitor, 10 repeats) ==="
+  ctest --test-dir build -L monitor --repeat until-fail:10 --output-on-failure
 fi
 
 if [[ "$run_tsan" == 1 ]]; then

@@ -360,10 +360,12 @@ Status DrainFeed(serve::FalccEngine* engine, const std::string& spec) {
   const replicate::DeltaPullerStats stats = puller.Stats();
   std::fprintf(stderr,
                "follow %s: %llu deltas applied, %llu full reloads, "
-               "%llu recoveries, %llu quarantined (feed position %llu)\n",
+               "%llu checkpoints skipped, %llu recoveries, %llu quarantined "
+               "(feed position %llu)\n",
                spec.c_str(),
                static_cast<unsigned long long>(stats.deltas_applied),
                static_cast<unsigned long long>(stats.full_reloads),
+               static_cast<unsigned long long>(stats.checkpoints_skipped),
                static_cast<unsigned long long>(stats.recoveries),
                static_cast<unsigned long long>(stats.quarantined),
                static_cast<unsigned long long>(stats.last_sequence));
